@@ -14,10 +14,12 @@
 //!   fn of that name.
 //!
 //! Resolution is name-based and deliberately *over*-approximates (no type
-//! inference): a lint built on reachability may flag a function that a
-//! dynamic path never reaches, but it can never miss one because an edge
-//! was dropped. Macro invocations (`foo!(..)`) are not calls and are
-//! skipped; turbofish (`name::<T>(`) is handled.
+//! inference): a call gets an edge to every function of its name, the one
+//! it reaches at run time and any namesakes. FW008 walks the graph to
+//! decide whether a public entry point reaches a span or counter, so a
+//! namesake that opens one can let an unobserved function pass. Macro
+//! invocations (`foo!(..)`) are not calls and are skipped; turbofish
+//! (`name::<T>(`) is handled.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -63,8 +65,6 @@ pub struct FnNode {
     pub file: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// 1-based line of the body's opening brace.
-    pub body_line: usize,
     /// `pub` visibility.
     pub is_pub: bool,
     /// Whether the item sits inside a `#[cfg(test)]` region.
@@ -213,7 +213,6 @@ impl CallGraph {
                     owner: f.owner.clone(),
                     file: fa.rel.clone(),
                     line: f.line,
-                    body_line: f.body_line,
                     is_pub: f.is_pub,
                     in_test: fa.is_test_line(f.line),
                     body: f.body.clone(),
@@ -288,39 +287,6 @@ impl CallGraph {
         CallGraph { nodes, edges }
     }
 
-    /// Node indices whose name matches `pred`, non-test only.
-    pub fn find<F: Fn(&FnNode) -> bool>(&self, pred: F) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.in_test && pred(n))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// BFS from `entries`; returns, for each node, the entry index it is
-    /// reachable from (`None` when unreachable). Entries map to themselves.
-    pub fn reachable_from(&self, entries: &[usize]) -> Vec<Option<usize>> {
-        let mut origin: Vec<Option<usize>> = vec![None; self.nodes.len()];
-        let mut queue = std::collections::VecDeque::new();
-        for &e in entries {
-            if origin[e].is_none() {
-                origin[e] = Some(e);
-                queue.push_back(e);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            let from = origin[u];
-            for &v in &self.edges[u] {
-                if origin[v].is_none() {
-                    origin[v] = from;
-                    queue.push_back(v);
-                }
-            }
-        }
-        origin
-    }
-
     /// True when `node` (or any function transitively reachable from it)
     /// opens an obs span or feeds an obs counter.
     pub fn observable(&self, node: usize) -> bool {
@@ -355,6 +321,14 @@ mod tests {
         CallGraph::build(&analyses)
     }
 
+    /// Index of the node named `name`.
+    fn node(g: &CallGraph, name: &str) -> usize {
+        g.nodes
+            .iter()
+            .position(|n| n.name == name)
+            .expect("node exists")
+    }
+
     #[test]
     fn module_paths() {
         assert_eq!(module_path("crates/graph/src/csr.rs"), "graph::csr");
@@ -371,12 +345,9 @@ mod tests {
              pub struct S;\n\
              impl S { pub fn assoc() {} }\n",
         )]);
-        let entry = g.find(|n| n.name == "entry")[0];
-        let reach = g.reachable_from(&[entry]);
-        let helper = g.find(|n| n.name == "helper")[0];
-        let assoc = g.find(|n| n.name == "assoc")[0];
-        assert!(reach[helper].is_some());
-        assert!(reach[assoc].is_some());
+        let entry = &g.edges[node(&g, "entry")];
+        assert!(entry.contains(&node(&g, "helper")));
+        assert!(entry.contains(&node(&g, "assoc")));
     }
 
     #[test]
@@ -388,9 +359,7 @@ mod tests {
             ),
             ("crates/graph/src/lib.rs", "pub fn normalize() {}\n"),
         ]);
-        let fit = g.find(|n| n.name == "fit")[0];
-        let norm = g.find(|n| n.name == "normalize")[0];
-        assert!(g.reachable_from(&[fit])[norm].is_some());
+        assert_eq!(g.edges[node(&g, "fit")], vec![node(&g, "normalize")]);
     }
 
     #[test]
@@ -417,9 +386,7 @@ mod tests {
              pub fn forward_dark() { plain(); }\n\
              fn plain() {}\n",
         )]);
-        let fwd = g.find(|n| n.name == "forward")[0];
-        let dark = g.find(|n| n.name == "forward_dark")[0];
-        assert!(g.observable(fwd));
-        assert!(!g.observable(dark));
+        assert!(g.observable(node(&g, "forward")));
+        assert!(!g.observable(node(&g, "forward_dark")));
     }
 }

@@ -24,11 +24,6 @@
 //   iteration order leaks into floating-point accumulation order and edge
 //   order, breaking bit-reproducibility. Use `BTreeMap`/`BTreeSet` or an
 //   explicit sort, or annotate with a reason.
-// * FW007 — no allocating constructors in functions reachable (via the
-//   workspace call graph) from the `fit*`/`forward*`/`backward*`/`spmm*`/
-//   `query*` entry points; the training and serving hot loops must route
-//   buffers through `Workspace` (PR 3's alloc-budget invariant, made
-//   static).
 // * FW008 — every public `fit*`/`forward*`/`backward*`/`query*` (and, in
 //   the serve admin plane, `handle*`) in core/nn/serve must be observable:
 //   it (or a callee, transitively) opens an obs span or feeds an obs
@@ -78,10 +73,6 @@ pub const LINTS: &[(&str, &str)] = &[
         "no HashMap/HashSet (unordered iteration) in result-affecting crates",
     ),
     (
-        "FW007",
-        "no allocating constructors reachable from fit/forward/backward/spmm/query",
-    ),
-    (
         "FW008",
         "public fit/forward/backward/query/handle fns in core/nn/serve must reach a span/counter",
     ),
@@ -110,8 +101,7 @@ const FW003_ROOTS: &[&str] = &["crates/nn/src", "crates/core/src"];
 const FW005_ALLOWED_ROOTS: &[&str] = &["crates/obs/", "crates/chaos/"];
 
 /// Result-affecting crates: anything whose iteration or accumulation order
-/// can reach a reported number. FW006 bans unordered containers here, and
-/// FW007 confines its reachability analysis to these roots.
+/// can reach a reported number. FW006 bans unordered containers here.
 const RESULT_ROOTS: &[&str] = &[
     "crates/tensor/",
     "crates/graph/",
@@ -126,34 +116,13 @@ const RESULT_ROOTS: &[&str] = &[
 /// Unordered container tokens FW006 rejects.
 const FW006_TOKENS: &[&str] = &["HashMap", "HashSet"];
 
-/// Function-name prefixes that anchor the FW007 hot-path reachability sweep
-/// and the FW008 observability check.
-const HOT_ENTRY_PREFIXES: &[&str] = &["fit", "forward", "backward", "spmm", "query"];
+/// Function-name prefixes FW008 audits: the training and inference entry
+/// points, and the admin plane's request handlers (an endpoint invisible to
+/// its own telemetry is a blind spot).
+const FW008_ENTRY_PREFIXES: &[&str] = &["fit", "forward", "backward", "query", "handle"];
 
-/// Extra prefixes FW008 audits beyond [`HOT_ENTRY_PREFIXES`]: admin-plane
-/// request handlers. FW008-only on purpose — a handler builds its response
-/// body, so FW007's no-allocation sweep must not anchor on it, but an
-/// unobservable endpoint (no scrape counter) is still a blind spot.
-const FW008_HANDLER_PREFIXES: &[&str] = &["handle"];
-
-/// Allocating constructors FW007 rejects on the hot path. Matched against
-/// masked body lines.
-const FW007_ALLOC_PATTERNS: &[&str] = &[
-    "::zeros(",
-    "from_vec(",
-    "Vec::new()",
-    "Vec::with_capacity(",
-    "vec![",
-    ".to_vec()",
-    ".clone()",
-];
-
-/// Files exempt from FW007: the `Workspace` pool is the sanctioned
-/// allocator, so its own internals may allocate.
-const FW007_EXEMPT_FILES: &[&str] = &["crates/tensor/src/pool.rs"];
-
-/// Crate roots whose public `fit*`/`forward*`/`backward*`/`query*` fns
-/// FW008 audits.
+/// Crate roots whose public `fit*`/`forward*`/`backward*`/`query*`/
+/// `handle*` fns FW008 audits.
 const FW008_ROOTS: &[&str] = &["crates/nn/src", "crates/core/src", "crates/serve/src"];
 
 /// Kernel crates whose index casts FW010 audits.
@@ -180,8 +149,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Human-readable description of the violation. Deliberately free of
-    /// line numbers so the baseline key survives unrelated edits.
+    /// Human-readable description of the violation.
     pub message: String,
 }
 
@@ -195,8 +163,6 @@ pub struct LintMetrics {
     pub callgraph_functions: usize,
     /// Resolved call edges.
     pub callgraph_edges: usize,
-    /// Functions reachable from a hot-path entry point.
-    pub hot_path_functions: usize,
     /// Findings per lint id, in [`LINTS`] order.
     pub findings_per_lint: Vec<(String, usize)>,
 }
@@ -221,7 +187,7 @@ impl LintReport {
     /// Serializes the report as JSON (machine-readable CI output).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(2048);
-        s.push_str("{\n  \"tool\": \"fairwos-audit\",\n  \"schema_version\": 2,\n");
+        s.push_str("{\n  \"tool\": \"fairwos-audit\",\n  \"schema_version\": 3,\n");
         s.push_str(&format!("  \"files_checked\": {},\n", self.files_checked));
         s.push_str("  \"metrics\": {\n");
         s.push_str(&format!(
@@ -235,10 +201,6 @@ impl LintReport {
         s.push_str(&format!(
             "    \"callgraph_edges\": {},\n",
             self.metrics.callgraph_edges
-        ));
-        s.push_str(&format!(
-            "    \"hot_path_functions\": {},\n",
-            self.metrics.hot_path_functions
         ));
         s.push_str("    \"findings_per_lint\": {");
         for (i, (id, count)) in self.metrics.findings_per_lint.iter().enumerate() {
@@ -308,8 +270,7 @@ pub fn run_lints(root: &Path) -> Result<LintReport, String> {
         lint_fw009(fa, &mut violations);
         lint_fw010(fa, &mut violations);
     }
-    let hot = lint_fw007(&graph, &analyses, &mut violations);
-    lint_fw008(&graph, &analyses, &mut violations);
+    lint_fw008(&graph, &mut violations);
     violations.sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
 
     let findings_per_lint = LINTS
@@ -325,7 +286,6 @@ pub fn run_lints(root: &Path) -> Result<LintReport, String> {
         files_scanned: analyses.len(),
         callgraph_functions: graph.nodes.len(),
         callgraph_edges: graph.edges.iter().map(Vec::len).sum(),
-        hot_path_functions: hot,
         findings_per_lint,
     };
     Ok(LintReport {
@@ -616,9 +576,10 @@ fn lint_fw006(fa: &FileAnalysis, out: &mut Vec<Violation>) {
     }
 }
 
-/// True when `name` equals one of `prefixes` or extends it with `_…`.
-fn matches_entry_prefix(name: &str, prefixes: &[&str]) -> bool {
-    prefixes.iter().any(|p| {
+/// True when `name` is in FW008's audited surface: one of
+/// [`FW008_ENTRY_PREFIXES`], alone or extended with `_…`.
+fn is_fw008_entry(name: &str) -> bool {
+    FW008_ENTRY_PREFIXES.iter().any(|p| {
         name == *p
             || name
                 .strip_prefix(p)
@@ -627,80 +588,18 @@ fn matches_entry_prefix(name: &str, prefixes: &[&str]) -> bool {
     })
 }
 
-/// True when `name` marks a hot-path entry point.
-fn is_hot_entry(name: &str) -> bool {
-    matches_entry_prefix(name, HOT_ENTRY_PREFIXES)
-}
-
-/// True when `name` is in FW008's audited surface: the hot-path entries
-/// plus the admin request handlers.
-fn is_fw008_entry(name: &str) -> bool {
-    is_hot_entry(name) || matches_entry_prefix(name, FW008_HANDLER_PREFIXES)
-}
-
-/// FW007: allocating constructors reachable from the hot-path entry points.
-/// Returns the number of hot-path functions (for the metrics block).
-fn lint_fw007(graph: &CallGraph, analyses: &[FileAnalysis], out: &mut Vec<Violation>) -> usize {
-    let by_rel: std::collections::BTreeMap<&str, &FileAnalysis> =
-        analyses.iter().map(|fa| (fa.rel.as_str(), fa)).collect();
-    let entries =
-        graph.find(|n| n.is_pub && is_hot_entry(&n.name) && in_roots(&n.file, RESULT_ROOTS));
-    let origin = graph.reachable_from(&entries);
-    let mut hot = 0usize;
-    let mut seen = BTreeSet::new();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if origin[i].is_none()
-            || node.in_test
-            || !in_roots(&node.file, RESULT_ROOTS)
-            || FW007_EXEMPT_FILES.contains(&node.file.as_str())
-        {
-            continue;
-        }
-        hot += 1;
-        if node.allowed.iter().any(|a| a == "FW007") {
-            continue;
-        }
-        let Some(fa) = by_rel.get(node.file.as_str()) else {
-            continue;
-        };
-        for (off, body_line) in node.body.lines().enumerate() {
-            let line = node.body_line + off;
-            for pattern in FW007_ALLOC_PATTERNS {
-                if body_line.contains(pattern) && !fa.line_allows(line, "FW007") {
-                    // One finding per (fn, pattern, line-site); the key
-                    // (file, message) multiset keeps the baseline stable.
-                    if seen.insert((i, *pattern, line)) {
-                        out.push(Violation {
-                            lint: "FW007".to_string(),
-                            file: node.file.clone(),
-                            line,
-                            message: format!(
-                                "hot-path fn `{}` allocates via `{pattern}`; route the \
-                                 buffer through Workspace or add `audit:allow(FW007): reason`",
-                                node.name
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    hot
-}
-
 /// FW008: obs coverage of the public training/inference/admin surface. A
 /// public `fit*`/`forward*`/`backward*`/`query*` fn in core/nn/serve — or
 /// a `handle*` admin endpoint in serve — passes when it, or any function
 /// it can reach in the call graph, opens a span or feeds a counter;
 /// otherwise the fn is invisible to the observability story.
-fn lint_fw008(graph: &CallGraph, _analyses: &[FileAnalysis], out: &mut Vec<Violation>) {
+fn lint_fw008(graph: &CallGraph, out: &mut Vec<Violation>) {
     for (i, node) in graph.nodes.iter().enumerate() {
         if !node.is_pub
             || node.in_test
             || node.body.is_empty()
             || !in_roots(&node.file, FW008_ROOTS)
             || !is_fw008_entry(&node.name)
-            || node.name.starts_with("spmm")
             || node.allowed.iter().any(|a| a == "FW008")
         {
             continue;

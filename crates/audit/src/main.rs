@@ -2,23 +2,17 @@
 //!
 //! ```text
 //! cargo run -p fairwos-audit -- lint      [--root DIR] [--out FILE]
-//!                                         [--baseline FILE [--update-baseline]]
 //! cargo run -p fairwos-audit -- gradients [--out FILE] [--tol T]
 //! ```
 //!
 //! `lint` walks `crates/*/src` under `--root` (default: the current
 //! directory, i.e. the workspace root under `cargo run`), writes a JSON
 //! report (default `results/audit_lint.json`) and exits 1 when any FW lint
-//! fires. With `--baseline`, pre-existing findings pinned in the baseline
-//! file are reported but not fatal; only *new* findings (or stale pins —
-//! the ratchet must shrink) exit 1. `--update-baseline` rewrites the
-//! baseline without its stale entries (never adding new ones); if the file
-//! does not exist yet it is seeded with the current findings.
+//! fires.
 //! `gradients` runs the finite-difference sweep, writes
 //! `results/gradient_report.json` and exits 1 when any parameter fails.
 //! Both exit 2 on I/O errors.
 
-use fairwos_audit::baseline::Baseline;
 use fairwos_audit::{gradients, lints};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -30,7 +24,7 @@ fn main() {
         Some("gradients") => run_gradients(&args[1..]),
         _ => {
             eprintln!(
-                "usage: fairwos-audit lint [--root DIR] [--out FILE] [--baseline FILE [--update-baseline]]\n       fairwos-audit gradients [--out FILE] [--tol T]"
+                "usage: fairwos-audit lint [--root DIR] [--out FILE]\n       fairwos-audit gradients [--out FILE] [--tol T]"
             );
             exit(2);
         }
@@ -76,10 +70,6 @@ fn emit_lint_metrics(report: &lints::LintReport) {
         "audit/lint/callgraph_edges",
         report.metrics.callgraph_edges as u64,
     );
-    fairwos_obs::counter_add(
-        "audit/lint/hot_path_functions",
-        report.metrics.hot_path_functions as u64,
-    );
     for (id, count) in &report.metrics.findings_per_lint {
         fairwos_obs::counter_add(&format!("audit/lint/findings/{id}"), *count as u64);
     }
@@ -88,8 +78,6 @@ fn emit_lint_metrics(report: &lints::LintReport) {
 fn run_lint(args: &[String]) {
     let root = PathBuf::from(flag_value(args, "--root").unwrap_or("."));
     let out = PathBuf::from(flag_value(args, "--out").unwrap_or("results/audit_lint.json"));
-    let baseline_path = flag_value(args, "--baseline").map(PathBuf::from);
-    let update_baseline = args.iter().any(|a| a == "--update-baseline");
 
     let report = match lints::run_lints(&root) {
         Ok(r) => r,
@@ -101,90 +89,17 @@ fn run_lint(args: &[String]) {
     write_report(&out, &report.to_json());
     emit_lint_metrics(&report);
 
-    let Some(baseline_path) = baseline_path else {
-        for v in &report.violations {
-            println!("{}:{}: [{}] {}", v.file, v.line, v.lint, v.message);
-        }
-        println!(
-            "fairwos-audit lint: {} files checked, {} fns in call graph, {} violation(s); report at {}",
-            report.files_checked,
-            report.metrics.callgraph_functions,
-            report.violations.len(),
-            out.display()
-        );
-        exit(i32::from(!report.ok()));
-    };
-
-    // Baseline (ratchet) mode.
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(Some(b)) => b,
-        Ok(None) if update_baseline => {
-            let seeded = Baseline::pin_all(&report);
-            write_report(&baseline_path, &seeded.to_json());
-            println!(
-                "fairwos-audit lint: seeded baseline with {} finding(s) at {}",
-                seeded.total(),
-                baseline_path.display()
-            );
-            exit(0);
-        }
-        Ok(None) => {
-            eprintln!(
-                "fairwos-audit lint: baseline {} not found (run with --update-baseline to seed it)",
-                baseline_path.display()
-            );
-            exit(2);
-        }
-        Err(e) => {
-            eprintln!("fairwos-audit lint: {e}");
-            exit(2);
-        }
-    };
-
-    let diff = baseline.diff(&report);
-    for v in &diff.new {
-        println!("{}:{}: [{}] NEW {}", v.file, v.line, v.lint, v.message);
-    }
-    for (key, count) in &diff.stale {
-        println!("stale baseline entry (x{count}): {key}");
-    }
-    if update_baseline {
-        let shrunk = baseline.shrink_to(&report);
-        write_report(&baseline_path, &shrunk.to_json());
-        println!(
-            "fairwos-audit lint: baseline shrunk {} -> {} pinned finding(s)",
-            baseline.total(),
-            shrunk.total()
-        );
+    for v in &report.violations {
+        println!("{}:{}: [{}] {}", v.file, v.line, v.lint, v.message);
     }
     println!(
-        "fairwos-audit lint: {} files checked, {} fns in call graph, {} violation(s) \
-         ({} pinned by baseline, {} new, {} stale pin(s)); report at {}",
+        "fairwos-audit lint: {} files checked, {} fns in call graph, {} violation(s); report at {}",
         report.files_checked,
         report.metrics.callgraph_functions,
         report.violations.len(),
-        diff.pinned.len(),
-        diff.new.len(),
-        diff.stale.len(),
         out.display()
     );
-    if !diff.new.is_empty() {
-        eprintln!(
-            "fairwos-audit lint: {} new violation(s) not in the baseline",
-            diff.new.len()
-        );
-        exit(1);
-    }
-    if !diff.stale.is_empty() && !update_baseline {
-        eprintln!(
-            "fairwos-audit lint: {} stale baseline entr(ies) — findings were fixed; shrink the \
-             ratchet with `fairwos-audit lint --baseline {} --update-baseline`",
-            diff.stale.len(),
-            baseline_path.display()
-        );
-        exit(1);
-    }
-    exit(0);
+    exit(i32::from(!report.ok()));
 }
 
 fn run_gradients(args: &[String]) {

@@ -468,16 +468,16 @@ pub fn f() {
     #[test]
     fn allow_above_item_covers_item_body() {
         let src = "\
-// audit:allow(FW007): fixture-wide
+// audit:allow(FW006): fixture-wide
 pub fn f() {
-    let v = alloc_here();
+    let v = HashMap::new();
     v
 }
 pub fn g() {}
 ";
         let fa = analyze_file("crates/demo/src/lib.rs", src);
-        assert!(fa.line_allows(3, "FW007"));
-        assert!(!fa.line_allows(6, "FW007"));
+        assert!(fa.line_allows(3, "FW006"));
+        assert!(!fa.line_allows(6, "FW006"));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! FW008 pass fixture, admin-handler surface: the public `handle_*`
 //! endpoint is observable through its renderer, which feeds a counter.
-//! The renderer also allocates — legal, because `handle*` anchors FW008
-//! only, never FW007's no-allocation sweep.
 
 /// Public admin endpoint; observability comes from the renderer it calls.
 pub fn handle_status() -> String {

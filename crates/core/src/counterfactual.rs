@@ -114,7 +114,6 @@ pub struct PairSums {
 impl CounterfactualSets {
     fn new(queries: Vec<usize>, num_attrs: usize, k: usize, slots: Vec<usize>) -> Self {
         assert_eq!(slots.len(), queries.len() * num_attrs * k, "slot rows");
-        // audit:allow(FW007): one count per attribute
         let mut pair_counts = vec![0; num_attrs];
         for q_idx in 0..queries.len() {
             for (i, count) in pair_counts.iter_mut().enumerate() {
@@ -140,7 +139,6 @@ impl CounterfactualSets {
     pub fn from_sets(queries: Vec<usize>, sets: Vec<Vec<Vec<usize>>>) -> Self {
         let num_attrs = sets.len();
         let k = sets.iter().flatten().map(Vec::len).max().unwrap_or(0);
-        // audit:allow(FW007): a resumed run rebuilds its sets once
         let mut slots = vec![NONE; queries.len() * num_attrs * k];
         for (i, per_query) in sets.iter().enumerate() {
             assert_eq!(
@@ -161,7 +159,6 @@ impl CounterfactualSets {
         (0..self.num_attrs)
             .map(|i| {
                 (0..self.queries.len())
-                    // audit:allow(FW007): a checkpoint holds an owned copy
                     .map(|q_idx| self.list(i, q_idx).to_vec())
                     .collect()
             })
@@ -233,7 +230,6 @@ impl CounterfactualSets {
     ) -> PairSums {
         assert_eq!(weights.len(), self.num_attrs, "one weight per attribute");
         assert_eq!(grad.shape(), embeddings.shape(), "gradient shape");
-        // audit:allow(FW007): the two sums per attribute the step returns
         let mut sums = PairSums {
             dist: vec![0.0; self.num_attrs],
             loss: vec![0.0; self.num_attrs],
@@ -283,7 +279,6 @@ impl Walk<'_> {
         let (num_attrs, k) = (sets.num_attrs, sets.k);
         // One slot's counterfactual rows, transposed: `cols[d][l]` is
         // coordinate `d` of lane `l`'s counterfactual.
-        // audit:allow(FW007): one `h × L` tile per walk
         let mut cols = vec![[0.0f32; L]; h.cols()];
         for b in 0..num_attrs.div_ceil(L) {
             // The block's attributes, `lo..hi`.
@@ -595,7 +590,7 @@ impl<const L: usize> Search<'_, L> {
         let (space, k) = (self.space, self.k);
         debug_assert!(K == 0 || K == k, "slot count {K} vs {k}");
         let scratch_rows = if K == 0 { k } else { 0 };
-        // audit:allow(FW007): per-task scratch, `O(C + K)` (no slot rows for a constant K)
+        // Per-task scratch, `O(C + K)`: no slot rows for a constant K.
         let (mut dist, mut keys, mut row_keys, mut row_pos) = (
             vec![0.0f32; self.widest],
             vec![0i32; self.widest],
@@ -698,7 +693,6 @@ fn search_slots<const L: usize>(
         k,
     };
     let row_len = num_attrs * k;
-    // audit:allow(FW007): the search's output, one slot row per query
     let mut slots = vec![NONE; queries.len() * row_len];
     if !slots.is_empty() {
         for (chunk, out) in slots.chunks_mut(QUERY_CHUNK * row_len).enumerate() {
@@ -768,7 +762,6 @@ fn search_topk_on(
             s.task_avx512(q, out)
         }),
     };
-    // audit:allow(FW007): the sets own their query ids
     CounterfactualSets::new(queries.to_vec(), num_attrs, k, slots)
 }
 

@@ -39,7 +39,6 @@ impl Init for Zeroed {
 /// A zero weight: one allocation per weight, counted in `tensor/alloc/bytes`
 /// like the draws it replaces.
 fn zero_weight(rows: usize, cols: usize) -> Matrix {
-    // audit:allow(FW007): model rebuilds only, one per weight, as the draw it replaces
     Matrix::zeros(rows, cols)
 }
 

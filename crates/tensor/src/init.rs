@@ -65,7 +65,6 @@ impl Matrix {
     /// A `rows × cols` matrix of `draw()` values in row-major order,
     /// allocated through the counted [`Matrix::zeros`] funnel.
     fn drawn(rows: usize, cols: usize, mut draw: impl FnMut() -> f32) -> Self {
-        // audit:allow(FW007): one buffer per weight, built when a layer is constructed
         let mut m = Matrix::zeros(rows, cols);
         for v in m.as_mut_slice() {
             *v = draw();

@@ -657,7 +657,7 @@ impl SqDistLanes {
     /// If a node is not a row of `m`.
     pub fn new(m: &Matrix, nodes: &[usize]) -> Self {
         let stride = nodes.len().div_ceil(LANES) * LANES;
-        // audit:allow(FW007): one transposed copy of a candidate bucket per search
+        // One transposed copy of a candidate bucket per search.
         let mut cols = vec![0.0f32; m.cols() * stride];
         for (c, &v) in nodes.iter().enumerate() {
             for (d, &x) in m.row(v).iter().enumerate() {

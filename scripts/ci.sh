@@ -89,14 +89,8 @@ echo "==> wall-time report (perfbench against the newest BENCH_<n>.json)"
 # (docs/PERFORMANCE.md). Run the script alone for its exit status.
 python3 scripts/bench_gate.py || echo "bench_gate: failed (report only, see docs/PERFORMANCE.md)"
 
-echo "==> fairwos-audit lint (full report; findings land in results/audit_lint.json)"
-# Plain mode exits 1 whenever any finding exists, including those pinned in
-# the baseline; here it is the report generator, so tolerate exactly that
-# exit code (I/O errors exit 2 and still fail the gate).
-cargo run --release -p fairwos-audit -- lint || [ $? -eq 1 ]
-
-echo "==> fairwos-audit lint (ratchet gate against results/lint_baseline.json)"
-cargo run --release -p fairwos-audit -- lint --baseline results/lint_baseline.json
+echo "==> fairwos-audit lint (any finding fails; report in results/audit_lint.json)"
+cargo run --release -p fairwos-audit -- lint
 
 echo "==> fairwos-audit gradients"
 cargo run --release -p fairwos-audit -- gradients

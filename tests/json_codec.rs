@@ -26,9 +26,7 @@ fn committed_results_re_emit_pretty_byte_for_byte() {
     entries.sort();
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        // The lint baseline has its own one-entry-per-line layout; its
-        // round trip is pinned in fairwos-audit.
-        if !name.ends_with(".json") || name == "lint_baseline.json" {
+        if !name.ends_with(".json") {
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("result file is UTF-8");
