@@ -2,8 +2,8 @@
 //
 // This module needs nothing beyond std and fairwos-obs (itself std-only), so
 // the lint engine builds with the registry unreachable. The JSON report is
-// laid out here from fairwos-obs's JSON primitives and parsed back in the
-// crate's tests to prove it is valid.
+// written by fairwos-obs's JSON codec (`fairwos_obs::json::to_string_pretty`)
+// and parsed back in the crate's tests.
 //
 // Lints (see docs/AUDIT.md for the rationale behind each):
 //
@@ -28,9 +28,6 @@
 //   the serve admin plane, `handle*`) in core/nn/serve must be observable:
 //   it (or a callee, transitively) opens an obs span or feeds an obs
 //   counter, or is explicitly exempted.
-// * FW009 — the fields of `TrainingCheckpoint` must stay in sync with the
-//   `TRAINING_CHECKPOINT_MANIFEST` declared next to it, so new mutable
-//   trainer state cannot silently escape crash recovery.
 // * FW010 — no truncating `as usize`/`as u32` casts in tensor/graph kernel
 //   index math without a bounds guard (an assert) in the same function.
 //
@@ -38,13 +35,12 @@
 // statement it opens (rustfmt-wrapped chains included), or in the
 // comment/attribute block directly above an item.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::callgraph::CallGraph;
 use crate::parse::{analyze_file, find_token, FileAnalysis};
-use fairwos_obs::json::push_str_literal;
+use fairwos_obs::json::{JsonWriter, ToJson};
 
 /// Lint identifiers with their one-line descriptions, in report order.
 pub const LINTS: &[(&str, &str)] = &[
@@ -75,10 +71,6 @@ pub const LINTS: &[(&str, &str)] = &[
     (
         "FW008",
         "public fit/forward/backward/query/handle fns in core/nn/serve must reach a span/counter",
-    ),
-    (
-        "FW009",
-        "TrainingCheckpoint fields must match the declared trainer-state manifest",
     ),
     (
         "FW010",
@@ -131,10 +123,6 @@ const FW010_ROOTS: &[&str] = &["crates/tensor/", "crates/graph/"];
 /// Truncating casts FW010 rejects without a guard.
 const FW010_CASTS: &[&str] = &[" as usize", " as u32"];
 
-/// The checkpoint struct and manifest names FW009 keeps in sync.
-const FW009_STRUCT: &str = "TrainingCheckpoint";
-const FW009_MANIFEST: &str = "TRAINING_CHECKPOINT_MANIFEST";
-
 /// A file counts as a gradient-check site when its raw text contains one of
 /// these markers: the names of the one engine, `fairwos_nn::gradcheck`'s
 /// `GradTarget` and its `finite_difference`.
@@ -183,57 +171,44 @@ impl LintReport {
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
+}
 
-    /// Serializes the report as JSON (machine-readable CI output).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n  \"tool\": \"fairwos-audit\",\n  \"schema_version\": 3,\n");
-        s.push_str(&format!("  \"files_checked\": {},\n", self.files_checked));
-        s.push_str("  \"metrics\": {\n");
-        s.push_str(&format!(
-            "    \"files_scanned\": {},\n",
-            self.metrics.files_scanned
-        ));
-        s.push_str(&format!(
-            "    \"callgraph_functions\": {},\n",
-            self.metrics.callgraph_functions
-        ));
-        s.push_str(&format!(
-            "    \"callgraph_edges\": {},\n",
-            self.metrics.callgraph_edges
-        ));
-        s.push_str("    \"findings_per_lint\": {");
-        for (i, (id, count)) in self.metrics.findings_per_lint.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            push_str_literal(&mut s, id);
-            s.push_str(&format!(": {count}"));
+fairwos_obs::json_struct!(ToJson for Violation { lint, file, line, message });
+
+/// The per-lint findings are an object keyed by lint id.
+impl ToJson for LintMetrics {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("files_scanned", &self.files_scanned);
+        w.field("callgraph_functions", &self.callgraph_functions);
+        w.field("callgraph_edges", &self.callgraph_edges);
+        w.key("findings_per_lint");
+        w.object(&self.findings_per_lint);
+        w.end_object();
+    }
+}
+
+/// The machine-readable CI report (`results/audit_lint.json`): the tool
+/// and schema stamp, the run metrics, every lint with its description, and
+/// the violations.
+impl ToJson for LintReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("tool", "fairwos-audit");
+        w.field("schema_version", &3u32);
+        w.field("files_checked", &self.files_checked);
+        w.field("metrics", &self.metrics);
+        w.key("lints");
+        w.begin_array();
+        for (id, description) in LINTS {
+            w.begin_object();
+            w.field("id", id);
+            w.field("description", description);
+            w.end_object();
         }
-        s.push_str("}\n  },\n  \"lints\": [\n");
-        for (i, (id, desc)) in LINTS.iter().enumerate() {
-            s.push_str("    {\"id\": ");
-            push_str_literal(&mut s, id);
-            s.push_str(", \"description\": ");
-            push_str_literal(&mut s, desc);
-            s.push_str(if i + 1 < LINTS.len() { "},\n" } else { "}\n" });
-        }
-        s.push_str("  ],\n  \"violations\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            s.push_str("    {\"lint\": ");
-            push_str_literal(&mut s, &v.lint);
-            s.push_str(", \"file\": ");
-            push_str_literal(&mut s, &v.file);
-            s.push_str(&format!(", \"line\": {}, \"message\": ", v.line));
-            push_str_literal(&mut s, &v.message);
-            s.push_str(if i + 1 < self.violations.len() {
-                "},\n"
-            } else {
-                "}\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        w.end_array();
+        w.field("violations", &self.violations);
+        w.end_object();
     }
 }
 
@@ -267,7 +242,6 @@ pub fn run_lints(root: &Path) -> Result<LintReport, String> {
         lint_fw004(fa, &mut violations);
         lint_fw005(fa, &mut violations);
         lint_fw006(fa, &mut violations);
-        lint_fw009(fa, &mut violations);
         lint_fw010(fa, &mut violations);
     }
     lint_fw008(&graph, &mut violations);
@@ -620,100 +594,6 @@ fn lint_fw008(graph: &CallGraph, out: &mut Vec<Violation>) {
                 ),
             });
         }
-    }
-}
-
-/// FW009: checkpoint-field parity. Applies to any scanned file that
-/// declares `struct TrainingCheckpoint`; its field list must match the
-/// string entries of the `TRAINING_CHECKPOINT_MANIFEST` const declared in
-/// the same file, so new mutable trainer state is forced through an
-/// explicit "is this persisted?" decision.
-fn lint_fw009(fa: &FileAnalysis, out: &mut Vec<Violation>) {
-    let masked_text = fa.masked_lines.join("\n");
-    let needle = format!("struct {FW009_STRUCT}");
-    let Some(at) = find_token(&masked_text, &needle) else {
-        return;
-    };
-    let struct_line = masked_text[..at].matches('\n').count() + 1;
-    let bytes = masked_text.as_bytes();
-    let Some(open_rel) = masked_text[at..].find('{') else {
-        return;
-    };
-    let open = at + open_rel;
-    let Some(close) = crate::lexer::match_brace(bytes, open) else {
-        return;
-    };
-    let mut fields = Vec::new();
-    for line in masked_text[open + 1..close].lines() {
-        let t = line.trim();
-        let rest = t.strip_prefix("pub ").unwrap_or(t);
-        if let Some(colon) = rest.find(':') {
-            let name: String = rest[..colon].trim().to_string();
-            if !name.is_empty() && name.chars().all(crate::lexer::is_ident_char) {
-                fields.push(name);
-            }
-        }
-    }
-    // The manifest lives in the ORIGINAL text (its entries are string
-    // literals, which masking blanks).
-    let original = fa.original_lines.join("\n");
-    let Some(m_at) = find_token(&original, FW009_MANIFEST) else {
-        out.push(Violation {
-            lint: "FW009".to_string(),
-            file: fa.rel.clone(),
-            line: struct_line,
-            message: format!(
-                "`{FW009_STRUCT}` has no `{FW009_MANIFEST}` const beside it; declare the \
-                 trainer-state manifest so checkpoint coverage is auditable"
-            ),
-        });
-        return;
-    };
-    // Skip past `=` first: the const's *type* (`&[&str]`) also contains a
-    // `[`, and the manifest entries live in the initializer.
-    let Some(eq_rel) = original[m_at..].find('=') else {
-        return;
-    };
-    let eq = m_at + eq_rel;
-    let Some(lb_rel) = original[eq..].find('[') else {
-        return;
-    };
-    let lb = eq + lb_rel;
-    let rb = original[lb..]
-        .find(']')
-        .map(|r| lb + r)
-        .unwrap_or(original.len());
-    let mut manifest = Vec::new();
-    let mut rest = &original[lb..rb];
-    while let Some(q) = rest.find('"') {
-        let tail = &rest[q + 1..];
-        let Some(q2) = tail.find('"') else { break };
-        manifest.push(tail[..q2].to_string());
-        rest = &tail[q2 + 1..];
-    }
-    let fields_set: BTreeSet<&String> = fields.iter().collect();
-    let manifest_set: BTreeSet<&String> = manifest.iter().collect();
-    for missing in fields_set.difference(&manifest_set) {
-        out.push(Violation {
-            lint: "FW009".to_string(),
-            file: fa.rel.clone(),
-            line: struct_line,
-            message: format!(
-                "checkpoint field `{missing}` is not declared in {FW009_MANIFEST}; new \
-                 trainer state must be explicitly added to the crash-recovery manifest"
-            ),
-        });
-    }
-    for extra in manifest_set.difference(&fields_set) {
-        out.push(Violation {
-            lint: "FW009".to_string(),
-            file: fa.rel.clone(),
-            line: struct_line,
-            message: format!(
-                "{FW009_MANIFEST} names `{extra}` but `{FW009_STRUCT}` has no such field; \
-                 remove the stale manifest entry"
-            ),
-        });
     }
 }
 

@@ -86,7 +86,7 @@ fn run_lint(args: &[String]) {
             exit(2);
         }
     };
-    write_report(&out, &report.to_json());
+    write_report(&out, &fairwos_obs::json::to_string_pretty(&report));
     emit_lint_metrics(&report);
 
     for v in &report.violations {

@@ -50,9 +50,7 @@ pub struct FnInfo {
 pub struct FileAnalysis {
     /// Workspace-relative path, `/`-separated.
     pub rel: String,
-    /// Original source lines.
-    pub original_lines: Vec<String>,
-    /// Masked source lines (same count as `original_lines`).
+    /// Masked source lines (same count as the source's lines).
     pub masked_lines: Vec<String>,
     /// True for lines inside a `#[cfg(test)]` region (1-based index).
     pub test_line: Vec<bool>,
@@ -427,7 +425,6 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
 
     FileAnalysis {
         rel: rel.to_string(),
-        original_lines,
         masked_lines,
         test_line,
         allow_lines,

@@ -3,7 +3,7 @@
 //! a synthetic tree.
 
 use fairwos_audit::lints::{run_lints, LINTS};
-use fairwos_obs::json::Value;
+use fairwos_obs::json::{self, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -170,8 +170,9 @@ fn lint_json_round_trips_through_the_codec() {
         "/// Doc.\npub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
     );
     let report = run_lints(tree.path()).expect("lint run succeeds");
-    let json = report.to_json();
-    let value = Value::parse(&json).expect("report JSON parses");
+    let doc = json::to_string_pretty(&report);
+    let value = Value::parse(&doc).expect("report JSON parses");
+    assert_eq!(json::to_string_pretty(&value), doc, "report re-emits");
     let str_at = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
     let u64_at = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64);
 

@@ -38,59 +38,12 @@ pub enum CfStrategy {
 
 fairwos_obs::json_enum!(ToJson, FromJson for CfStrategy { SearchReal, PerturbAttribute });
 
-/// Divergence-watchdog thresholds, checked once per stage-2/stage-3 epoch.
-///
-/// Decoded field-by-field with defaults, so configs serialized before the
-/// watchdog existed still load. The semantics live in
-/// [`fairwos_obs::WatchdogPolicy`]; this mirror keeps the persisted config
-/// format owned by this crate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WatchdogConfig {
-    /// A loss is a spike when it exceeds `spike_factor ×` the best loss in
-    /// the trailing window. Must be > 1.
-    pub spike_factor: f64,
-    /// Trailing-window length (healthy epochs remembered for the spike
-    /// baseline). Must be ≥ 1.
-    pub window: usize,
-    /// Gradient norms above this (or non-finite) are an explosion.
-    pub grad_limit: f64,
-    /// Tolerance for λ simplex membership (entries in `[-tol, 1+tol]`, sum
-    /// within `tol` of 1).
-    pub lambda_tol: f64,
-    /// Spike baselines are clamped up to this floor so near-zero converged
-    /// losses don't turn ordinary noise into spikes.
-    pub loss_floor: f64,
-}
-
-fairwos_obs::json_struct!(ToJson, FromJson for WatchdogConfig {
-    spike_factor, window, grad_limit, lambda_tol, loss_floor, ..Self::default()
-});
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        let p = fairwos_obs::WatchdogPolicy::default();
-        Self {
-            spike_factor: p.spike_factor,
-            window: p.window,
-            grad_limit: p.grad_limit,
-            lambda_tol: p.lambda_tol,
-            loss_floor: p.loss_floor,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// The equivalent obs-layer policy.
-    pub fn policy(&self) -> fairwos_obs::WatchdogPolicy {
-        fairwos_obs::WatchdogPolicy {
-            spike_factor: self.spike_factor,
-            window: self.window,
-            grad_limit: self.grad_limit,
-            lambda_tol: self.lambda_tol,
-            loss_floor: self.loss_floor,
-        }
-    }
-}
+/// Divergence-watchdog thresholds, checked once per stage-2/stage-3 epoch:
+/// the obs crate's [`fairwos_obs::WatchdogPolicy`] itself, which the
+/// trainer hands to its watchdogs unchanged. It decodes field by field
+/// with defaults, so configs serialized before the watchdog existed still
+/// load.
+pub use fairwos_obs::WatchdogPolicy as WatchdogConfig;
 
 /// Checkpointing and divergence-recovery policy of fits with a checkpoint
 /// store ([`crate::FitOptions::checkpoints`]).
@@ -468,13 +421,15 @@ mod tests {
 
     #[test]
     fn watchdog_config_mirrors_obs_policy() {
-        let policy = WatchdogConfig::default().policy();
-        let reference = fairwos_obs::WatchdogPolicy::default();
-        assert_eq!(policy.spike_factor, reference.spike_factor);
-        assert_eq!(policy.window, reference.window);
-        assert_eq!(policy.grad_limit, reference.grad_limit);
-        assert_eq!(policy.lambda_tol, reference.lambda_tol);
-        assert_eq!(policy.loss_floor, reference.loss_floor);
+        // The config holds the obs policy itself, serialized under the
+        // field names and order the persisted configs have always used.
+        let policy: fairwos_obs::WatchdogPolicy =
+            FairwosConfig::paper_default(Backbone::Gcn).watchdog;
+        assert_eq!(policy, fairwos_obs::WatchdogPolicy::default());
+        assert_eq!(
+            json::to_string(&policy),
+            r#"{"spike_factor":50.0,"window":10,"grad_limit":1000000.0,"lambda_tol":0.001,"loss_floor":0.001}"#
+        );
     }
 
     #[test]

@@ -594,7 +594,7 @@ pub(crate) fn train(
         encoder_losses,
         gnn,
         opt: Adam::new(lr),
-        watchdog: Watchdog::new(cfg.watchdog.policy()),
+        watchdog: Watchdog::new(cfg.watchdog),
         lambda,
         classifier_losses: Vec::new(),
         best_val: f64::NEG_INFINITY,
@@ -700,7 +700,7 @@ pub(crate) fn train(
         // different objective at a different scale, so stage-2 losses are
         // not a valid baseline.
         fit.st.opt = Adam::new(ft_lr);
-        fit.st.watchdog = Watchdog::new(cfg.watchdog.policy());
+        fit.st.watchdog = Watchdog::new(cfg.watchdog);
         match stage3_resume.take() {
             Some((snap, window)) => {
                 fit.st.opt.import_state(snap.t, snap.m, snap.v);

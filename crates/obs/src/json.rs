@@ -1,12 +1,12 @@
 //! The workspace's one JSON codec, std-only like the rest of this crate.
 //!
-//! * **Writing.** [`push_str_literal`], [`push_f64`] and [`push_indent`]
-//!   are the primitives the hand-laid-out documents of this crate
-//!   (`RunMetrics`, telemetry, traces) are built from. [`JsonWriter`]
-//!   streams any [`ToJson`] value either compact (no whitespace) or pretty
-//!   (two-space indent, `": "` after keys, empty containers as `[]`/`{}`).
-//!   Floats are written with `{:?}`, the shortest text that parses back to
-//!   the same bits; non-finite floats become `null`.
+//! * **Writing.** [`JsonWriter`] streams any [`ToJson`] value either
+//!   compact ([`to_string`]: no whitespace) or pretty ([`to_string_pretty`]:
+//!   two-space indent, `": "` after keys, empty containers as `[]`/`{}`).
+//!   Every JSON document of the workspace goes through it: `.json` files
+//!   are written pretty, `.jsonl` lines compact. Floats are written with
+//!   `{:?}`, the shortest text that parses back to the same bits;
+//!   non-finite floats become `null`.
 //! * **Reading.** [`Value::parse`] is a recursive-descent reader with a
 //!   nesting limit of [`MAX_DEPTH`]. A [`Value`] borrows from its input:
 //!   number lexemes and escape-free strings are slices of the document, so
@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 pub const MAX_DEPTH: usize = 128;
 
 /// Appends `s` as a JSON string literal, escaping per RFC 8259.
-pub fn push_str_literal(out: &mut String, s: &str) {
+fn push_str_literal(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -47,21 +47,8 @@ pub fn push_str_literal(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `v` as a JSON number. JSON has no NaN/Infinity, so non-finite
-/// values (which the `checked` feature exists to catch much earlier) are
-/// emitted as `null` rather than producing an unparseable file.
-pub fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{:?}` round-trips exactly with the shortest representation and
-        // never produces a locale-dependent separator.
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Appends `n` two-space indentation levels.
-pub fn push_indent(out: &mut String, n: usize) {
+fn push_indent(out: &mut String, n: usize) {
     for _ in 0..n {
         out.push_str("  ");
     }
@@ -168,6 +155,15 @@ impl JsonWriter {
     pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
         self.key(key);
         value.write_json(self);
+    }
+
+    /// Writes `(key, value)` pairs as one object, in slice order.
+    pub fn object<K: AsRef<str>, V: ToJson>(&mut self, members: &[(K, V)]) {
+        self.begin_object();
+        for (k, v) in members {
+            self.field(k.as_ref(), v);
+        }
+        self.end_object();
     }
 }
 
@@ -555,8 +551,12 @@ macro_rules! floats {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn write_json(&self, w: &mut JsonWriter) {
+                // JSON has no NaN/Infinity, so non-finite values (which the
+                // `checked` feature exists to catch much earlier) become
+                // `null` rather than an unparseable file.
                 if self.is_finite() {
-                    // `{:?}` is the shortest text that parses back exactly.
+                    // `{:?}` is the shortest text that parses back exactly and
+                    // never has a locale-dependent separator.
                     w.raw(format_args!("{self:?}"));
                 } else {
                     w.null();
@@ -931,15 +931,8 @@ mod tests {
 
     #[test]
     fn floats_round_trip_and_non_finite_becomes_null() {
-        let mut out = String::new();
-        push_f64(&mut out, 1.25);
-        out.push(' ');
-        push_f64(&mut out, 0.1);
-        out.push(' ');
-        push_f64(&mut out, f64::NAN);
-        out.push(' ');
-        push_f64(&mut out, f64::INFINITY);
-        assert_eq!(out, "1.25 0.1 null null");
+        let out = to_string(&[1.25, 0.1, f64::NAN, f64::INFINITY]);
+        assert_eq!(out, "[1.25,0.1,null,null]");
     }
 
     #[test]

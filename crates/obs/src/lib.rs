@@ -41,8 +41,9 @@
 //! The registry is process-global (the kernels have no handle to thread
 //! state through which a context could flow). A harness brackets each run
 //! with [`reset`] … [`RunMetrics::capture`], then serializes the batch with
-//! [`write_pipeline_json`] — the `results/bench_pipeline.json` schema that
-//! seeds the benchmark trajectory.
+//! [`write_pipeline_json`] — the `results/bench_pipeline.json` schema
+//! ([`Pipeline`], written by the [`json`] codec like every other document
+//! of the workspace) that seeds the benchmark trajectory.
 //!
 //! ```
 //! use fairwos_obs as obs;
@@ -72,12 +73,22 @@ pub mod watchdog;
 pub use event::{Event, EventRing, TimedEvent, DEFAULT_JOURNAL_CAPACITY};
 pub use prometheus::{prometheus_text, validate_prometheus_text, PROMETHEUS_CONTENT_TYPE};
 pub use report::{
-    pipeline_json, write_pipeline_json, CounterMetric, RunMetrics, ScaleMetric, SpanMetric,
+    write_pipeline_json, CounterMetric, Pipeline, RunMetrics, ScaleMetric, SpanMetric,
 };
 pub use snapshot::{GaugeMetric, JournalStats, MetricsSnapshot};
 pub use telemetry::{EpochRecord, EvalMetrics, TelemetrySink, TELEMETRY_SCHEMA_VERSION};
-pub use trace::{trace_json, write_trace_json, TRACE_SCHEMA_VERSION};
+pub use trace::{write_trace_json, Trace, TRACE_SCHEMA_VERSION};
 pub use watchdog::{lambda_in_simplex, Divergence, Watchdog, WatchdogPolicy};
+
+/// Writes `text` to `path`, creating parent directories.
+fn write_file(path: &std::path::Path, text: &str) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::write(path, text)
+}
 
 /// Whether the `enabled` feature compiled the instrumentation in.
 ///

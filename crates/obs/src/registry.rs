@@ -44,6 +44,16 @@ fn tables() -> &'static Mutex<Tables> {
     TABLES.get_or_init(|| Mutex::new(Tables::default()))
 }
 
+/// Applies `f` to the entry of `label` in `map`, inserting a default entry
+/// first when the label is new. Only that first insertion allocates the
+/// key: every later record under the label is a lookup.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, label: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(label) {
+        Some(v) => f(v),
+        None => f(map.entry(label.to_owned()).or_default()),
+    }
+}
+
 fn with_tables<R>(f: impl FnOnce(&mut Tables) -> R) -> R {
     // A panic while holding this lock poisons it, but the tables hold plain
     // aggregates that are never left half-updated, so recording into a
@@ -173,19 +183,21 @@ pub struct SpanGuard<'a> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed().as_nanos();
+        // A journal event owns its label: the ring outlives the borrow.
         journal_record(Event::SpanEnd {
             label: self.label.to_owned(),
         });
         with_tables(|t| {
-            let agg = t.spans.entry(self.label.to_owned()).or_default();
-            if agg.count == 0 || elapsed < agg.min_ns {
-                agg.min_ns = elapsed;
-            }
-            if elapsed > agg.max_ns {
-                agg.max_ns = elapsed;
-            }
-            agg.count += 1;
-            agg.total_ns += elapsed;
+            update(&mut t.spans, self.label, |agg| {
+                if agg.count == 0 || elapsed < agg.min_ns {
+                    agg.min_ns = elapsed;
+                }
+                if elapsed > agg.max_ns {
+                    agg.max_ns = elapsed;
+                }
+                agg.count += 1;
+                agg.total_ns += elapsed;
+            });
         });
     }
 }
@@ -215,20 +227,16 @@ pub fn span(label: &str) -> SpanGuard<'_> {
 /// the matrix allocator.
 pub fn counter_add(label: &str, amount: u64) {
     with_tables(|t| {
-        let agg = t.counters.entry(label.to_owned()).or_default();
-        agg.calls += 1;
-        agg.total += amount;
+        update(&mut t.counters, label, |agg| {
+            agg.calls += 1;
+            agg.total += amount;
+        });
     });
 }
 
 /// Records `value` for gauge `label`, keeping the per-run maximum.
 pub fn scale_max(label: &str, value: u64) {
-    with_tables(|t| {
-        let slot = t.scales.entry(label.to_owned()).or_default();
-        if value > *slot {
-            *slot = value;
-        }
-    });
+    with_tables(|t| update(&mut t.scales, label, |slot| *slot = (*slot).max(value)));
 }
 
 /// Sets the last-value gauge `label` to `value`, overwriting any previous
@@ -240,9 +248,7 @@ pub fn scale_max(label: &str, value: u64) {
 /// for anything a live scraper watches: latency quantiles, queue depths,
 /// fairness drift estimates.
 pub fn gauge_set(label: &str, value: u64) {
-    with_tables(|t| {
-        t.gauges.insert(label.to_owned(), value);
-    });
+    with_tables(|t| update(&mut t.gauges, label, |slot| *slot = value));
 }
 
 /// Clears every table *and* the event journal. Harnesses call this at the

@@ -1,17 +1,19 @@
-//! The always-compiled metrics schema: [`RunMetrics`] and its JSON
-//! serialization. These types exist in both build modes — only the
-//! *contents* differ (empty vectors when the `enabled` feature is off) — so
-//! harness code never needs feature gates of its own.
+//! The always-compiled metrics schema: [`RunMetrics`] and the
+//! `results/bench_pipeline.json` document ([`Pipeline`]). These types exist
+//! in both build modes — only the *contents* differ (empty vectors when the
+//! `enabled` feature is off) — so harness code never needs feature gates of
+//! its own.
 //!
-//! The JSON layout is a **stable contract**: the golden-snapshot test in
-//! `tests/golden_run_metrics.rs` pins it byte-for-byte, and downstream
-//! tooling reads `results/bench_pipeline.json` by this schema. Bump
-//! [`SCHEMA_VERSION`] on any shape change and regenerate the fixture.
+//! The document is a **stable contract**: its keys, key order and number
+//! text are pinned by the golden-snapshot test in
+//! `tests/golden_run_metrics.rs`, its layout is the JSON codec's pretty
+//! layout, and downstream tooling reads `results/bench_pipeline.json` by
+//! this schema. Bump [`SCHEMA_VERSION`] on any shape change and regenerate
+//! the fixture.
 
-use std::io::Write as _;
 use std::path::Path;
 
-use crate::json::{push_f64, push_indent, push_str_literal};
+use crate::json::{self, JsonWriter, ToJson};
 
 /// Version stamp written into the pipeline file so readers can detect
 /// schema drift without guessing from the shape.
@@ -32,6 +34,8 @@ pub struct SpanMetric {
     pub max_secs: f64,
 }
 
+crate::json_struct!(ToJson for SpanMetric { label, count, total_secs, min_secs, max_secs });
+
 /// Accumulated total for one counter label within a run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CounterMetric {
@@ -43,6 +47,8 @@ pub struct CounterMetric {
     pub total: u64,
 }
 
+crate::json_struct!(ToJson for CounterMetric { label, calls, total });
+
 /// Peak value observed for one gauge label within a run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleMetric {
@@ -51,6 +57,8 @@ pub struct ScaleMetric {
     /// Maximum value recorded under this label.
     pub max: u64,
 }
+
+crate::json_struct!(ToJson for ScaleMetric { label, max });
 
 /// One training run's worth of observability: identity, wall time, and the
 /// registry snapshot taken at capture time.
@@ -75,6 +83,10 @@ pub struct RunMetrics {
     pub scales: Vec<ScaleMetric>,
 }
 
+crate::json_struct!(ToJson for RunMetrics {
+    method, dataset, backbone, seed, wall_secs, spans, counters, scales
+});
+
 impl RunMetrics {
     /// Snapshots the global registry into a run record.
     ///
@@ -97,144 +109,30 @@ impl RunMetrics {
             scales,
         }
     }
-
-    /// Serializes this run as a pretty-printed JSON object (two-space
-    /// indent, trailing newline). The exact bytes are pinned by the golden
-    /// fixture test.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_json(&self, out: &mut String, indent: usize) {
-        let field = |out: &mut String, name: &str| {
-            push_indent(out, indent + 1);
-            push_str_literal(out, name);
-            out.push_str(": ");
-        };
-        out.push_str("{\n");
-        field(out, "method");
-        push_str_literal(out, &self.method);
-        out.push_str(",\n");
-        field(out, "dataset");
-        push_str_literal(out, &self.dataset);
-        out.push_str(",\n");
-        field(out, "backbone");
-        push_str_literal(out, &self.backbone);
-        out.push_str(",\n");
-        field(out, "seed");
-        out.push_str(&self.seed.to_string());
-        out.push_str(",\n");
-        field(out, "wall_secs");
-        push_f64(out, self.wall_secs);
-        out.push_str(",\n");
-
-        field(out, "spans");
-        write_array(out, indent + 1, &self.spans, |out, s| {
-            out.push_str("{ \"label\": ");
-            push_str_literal(out, &s.label);
-            out.push_str(&format!(", \"count\": {}", s.count));
-            out.push_str(", \"total_secs\": ");
-            push_f64(out, s.total_secs);
-            out.push_str(", \"min_secs\": ");
-            push_f64(out, s.min_secs);
-            out.push_str(", \"max_secs\": ");
-            push_f64(out, s.max_secs);
-            out.push_str(" }");
-        });
-        out.push_str(",\n");
-
-        field(out, "counters");
-        write_array(out, indent + 1, &self.counters, |out, c| {
-            out.push_str("{ \"label\": ");
-            push_str_literal(out, &c.label);
-            out.push_str(&format!(
-                ", \"calls\": {}, \"total\": {} }}",
-                c.calls, c.total
-            ));
-        });
-        out.push_str(",\n");
-
-        field(out, "scales");
-        write_array(out, indent + 1, &self.scales, |out, s| {
-            out.push_str("{ \"label\": ");
-            push_str_literal(out, &s.label);
-            out.push_str(&format!(", \"max\": {} }}", s.max));
-        });
-        out.push('\n');
-        push_indent(out, indent);
-        out.push('}');
-    }
 }
 
-fn write_array<T>(
-    out: &mut String,
-    indent: usize,
-    items: &[T],
-    write_item: impl Fn(&mut String, &T),
-) {
-    if items.is_empty() {
-        out.push_str("[]");
-        return;
-    }
-    out.push_str("[\n");
-    for (i, item) in items.iter().enumerate() {
-        push_indent(out, indent + 1);
-        write_item(out, item);
-        if i + 1 < items.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    push_indent(out, indent);
-    out.push(']');
-}
-
-/// Serializes a batch of runs as the `results/bench_pipeline.json` document:
+/// The `results/bench_pipeline.json` document over a batch of runs:
 /// `{"schema_version": …, "tool": "fairwos-obs", "runs": […]}`.
-pub fn pipeline_json(runs: &[RunMetrics]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    push_indent(&mut out, 1);
-    out.push_str(&format!("\"schema_version\": {SCHEMA_VERSION},\n"));
-    push_indent(&mut out, 1);
-    out.push_str("\"tool\": \"fairwos-obs\",\n");
-    push_indent(&mut out, 1);
-    out.push_str("\"runs\": ");
-    if runs.is_empty() {
-        out.push_str("[]");
-    } else {
-        out.push_str("[\n");
-        for (i, run) in runs.iter().enumerate() {
-            push_indent(&mut out, 2);
-            run.write_json(&mut out, 2);
-            if i + 1 < runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        push_indent(&mut out, 1);
-        out.push(']');
+pub struct Pipeline<'a>(pub &'a [RunMetrics]);
+
+impl ToJson for Pipeline<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("schema_version", &SCHEMA_VERSION);
+        w.field("tool", "fairwos-obs");
+        w.field("runs", self.0);
+        w.end_object();
     }
-    out.push_str("\n}\n");
-    out
 }
 
-/// Writes [`pipeline_json`] to `path`, creating parent directories.
+/// Writes the [`Pipeline`] document of `runs` to `path` (pretty), creating
+/// parent directories.
 ///
 /// # Errors
 ///
 /// Propagates any I/O error from directory creation or the file write.
 pub fn write_pipeline_json(path: &Path, runs: &[RunMetrics]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(pipeline_json(runs).as_bytes())
+    crate::write_file(path, &json::to_string_pretty(&Pipeline(runs)))
 }
 
 #[cfg(test)]
@@ -277,18 +175,30 @@ mod tests {
             "  \"seed\": 2025,\n",
             "  \"wall_secs\": 1.25,\n",
             "  \"spans\": [\n",
-            "    { \"label\": \"train/stage1_encoder\", \"count\": 1, \"total_secs\": 0.5, ",
-            "\"min_secs\": 0.5, \"max_secs\": 0.5 }\n",
+            "    {\n",
+            "      \"label\": \"train/stage1_encoder\",\n",
+            "      \"count\": 1,\n",
+            "      \"total_secs\": 0.5,\n",
+            "      \"min_secs\": 0.5,\n",
+            "      \"max_secs\": 0.5\n",
+            "    }\n",
             "  ],\n",
             "  \"counters\": [\n",
-            "    { \"label\": \"tensor/matmul/flops\", \"calls\": 3, \"total\": 600 }\n",
+            "    {\n",
+            "      \"label\": \"tensor/matmul/flops\",\n",
+            "      \"calls\": 3,\n",
+            "      \"total\": 600\n",
+            "    }\n",
             "  ],\n",
             "  \"scales\": [\n",
-            "    { \"label\": \"train/nodes\", \"max\": 403 }\n",
+            "    {\n",
+            "      \"label\": \"train/nodes\",\n",
+            "      \"max\": 403\n",
+            "    }\n",
             "  ]\n",
-            "}\n",
+            "}",
         );
-        assert_eq!(sample().to_json(), expected);
+        assert_eq!(json::to_string_pretty(&sample()), expected);
     }
 
     #[test]
@@ -299,19 +209,19 @@ mod tests {
             scales: Vec::new(),
             ..sample()
         };
-        let json = rm.to_json();
-        assert!(json.contains("\"spans\": [],\n"), "{json}");
-        assert!(json.contains("\"counters\": [],\n"), "{json}");
-        assert!(json.contains("\"scales\": []\n"), "{json}");
+        let doc = json::to_string_pretty(&rm);
+        assert!(doc.contains("\"spans\": [],\n"), "{doc}");
+        assert!(doc.contains("\"counters\": [],\n"), "{doc}");
+        assert!(doc.contains("\"scales\": []\n"), "{doc}");
     }
 
     #[test]
     fn pipeline_document_wraps_runs_with_version_and_tool() {
-        let doc = pipeline_json(&[sample(), sample()]);
+        let doc = json::to_string_pretty(&Pipeline(&[sample(), sample()]));
         assert!(doc.starts_with("{\n  \"schema_version\": 1,\n  \"tool\": \"fairwos-obs\",\n"));
         assert_eq!(doc.matches("\"method\": \"Fairwos\"").count(), 2);
-        assert!(doc.ends_with("]\n}\n"), "{doc}");
-        let empty = pipeline_json(&[]);
+        assert!(doc.ends_with("]\n}"), "{doc}");
+        let empty = json::to_string_pretty(&Pipeline(&[]));
         assert!(empty.contains("\"runs\": []\n}"), "{empty}");
     }
 
@@ -322,7 +232,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         write_pipeline_json(&path, &[sample()]).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, pipeline_json(&[sample()]));
+        assert_eq!(body, json::to_string_pretty(&Pipeline(&[sample()])));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

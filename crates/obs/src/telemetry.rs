@@ -3,15 +3,15 @@
 //!
 //! Like [`crate::RunMetrics`], everything here is always compiled and
 //! dependency-free; the *trainer* decides whether to emit records (it only
-//! does so when handed a [`TelemetrySink`]). The line layout is a stable
-//! contract with byte-stable field order, pinned by
-//! `tests/golden_telemetry.rs` — bump [`TELEMETRY_SCHEMA_VERSION`] on any
-//! shape change and regenerate the fixture.
+//! does so when handed a [`TelemetrySink`]). Each line is the codec's
+//! compact text of one record; the keys, their order and the number text
+//! are a stable contract pinned by `tests/golden_telemetry.rs` — bump
+//! [`TELEMETRY_SCHEMA_VERSION`] on any shape change and regenerate the
+//! fixture.
 
-use std::io::Write as _;
 use std::path::Path;
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::{self, JsonWriter, ToJson};
 
 /// Version stamp written into every telemetry line so readers can detect
 /// schema drift without guessing from the shape.
@@ -31,6 +31,8 @@ pub struct EvalMetrics {
     /// Equal-opportunity gap ΔEO.
     pub delta_eo: f64,
 }
+
+crate::json_struct!(ToJson for EvalMetrics { accuracy, f1, delta_sp, delta_eo });
 
 /// One epoch's worth of training telemetry.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,56 +62,23 @@ pub struct EpochRecord {
     pub eval: Option<EvalMetrics>,
 }
 
-impl EpochRecord {
-    /// Serializes this record as one JSONL line (no trailing newline).
-    /// Field order is fixed; the exact bytes are pinned by the golden
-    /// fixture test.
-    pub fn to_jsonl_line(&self) -> String {
-        let mut out = String::with_capacity(192);
-        out.push_str(&format!(
-            "{{\"schema_version\": {TELEMETRY_SCHEMA_VERSION}, \"stage\": {}, \"epoch\": {}",
-            self.stage, self.epoch
-        ));
-        out.push_str(", \"loss_cls\": ");
-        push_f64(&mut out, self.loss_cls);
-        out.push_str(", \"loss_inv\": ");
-        push_f64(&mut out, self.loss_inv);
-        out.push_str(", \"loss_suf\": ");
-        push_f64(&mut out, self.loss_suf);
-        out.push_str(", \"lambda\": [");
-        for (i, &l) in self.lambda.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_f64(&mut out, l);
-        }
-        out.push_str("], \"grad_norm\": ");
-        push_f64(&mut out, self.grad_norm);
-        out.push_str(", \"counters\": {");
-        for (i, (label, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_str_literal(&mut out, label);
-            out.push_str(&format!(": {value}"));
-        }
-        out.push_str("}, \"eval\": ");
-        match &self.eval {
-            None => out.push_str("null"),
-            Some(ev) => {
-                out.push_str("{\"accuracy\": ");
-                push_f64(&mut out, ev.accuracy);
-                out.push_str(", \"f1\": ");
-                push_f64(&mut out, ev.f1);
-                out.push_str(", \"delta_sp\": ");
-                push_f64(&mut out, ev.delta_sp);
-                out.push_str(", \"delta_eo\": ");
-                push_f64(&mut out, ev.delta_eo);
-                out.push('}');
-            }
-        }
-        out.push('}');
-        out
+/// One object per record, `schema_version` first; the counter deltas are
+/// an object keyed by label.
+impl ToJson for EpochRecord {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("schema_version", &TELEMETRY_SCHEMA_VERSION);
+        w.field("stage", &self.stage);
+        w.field("epoch", &self.epoch);
+        w.field("loss_cls", &self.loss_cls);
+        w.field("loss_inv", &self.loss_inv);
+        w.field("loss_suf", &self.loss_suf);
+        w.field("lambda", &self.lambda);
+        w.field("grad_norm", &self.grad_norm);
+        w.key("counters");
+        w.object(&self.counters);
+        w.field("eval", &self.eval);
+        w.end_object();
     }
 }
 
@@ -149,12 +118,12 @@ impl TelemetrySink {
         self.records.is_empty()
     }
 
-    /// Serializes every record as one line each (each line terminated by
-    /// `\n`).
+    /// Serializes every record as one compact line each (each line
+    /// terminated by `\n`).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&r.to_jsonl_line());
+            out.push_str(&json::to_string(r));
             out.push('\n');
         }
         out
@@ -167,13 +136,7 @@ impl TelemetrySink {
     ///
     /// Propagates any I/O error from directory creation or the file write.
     pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_jsonl().as_bytes())
+        crate::write_file(path, &self.to_jsonl())
     }
 }
 
@@ -203,13 +166,13 @@ mod tests {
     #[test]
     fn line_layout_is_stable() {
         let expected = concat!(
-            "{\"schema_version\": 1, \"stage\": 3, \"epoch\": 4, ",
-            "\"loss_cls\": 0.5, \"loss_inv\": 0.25, \"loss_suf\": 1.5, ",
-            "\"lambda\": [0.75, 0.25], \"grad_norm\": 2.5, ",
-            "\"counters\": {\"tensor/matmul/flops\": 1200}, ",
-            "\"eval\": {\"accuracy\": 0.7, \"f1\": 0.6, \"delta_sp\": 0.05, \"delta_eo\": 0.04}}",
+            "{\"schema_version\":1,\"stage\":3,\"epoch\":4,",
+            "\"loss_cls\":0.5,\"loss_inv\":0.25,\"loss_suf\":1.5,",
+            "\"lambda\":[0.75,0.25],\"grad_norm\":2.5,",
+            "\"counters\":{\"tensor/matmul/flops\":1200},",
+            "\"eval\":{\"accuracy\":0.7,\"f1\":0.6,\"delta_sp\":0.05,\"delta_eo\":0.04}}",
         );
-        assert_eq!(stage3_record().to_jsonl_line(), expected);
+        assert_eq!(json::to_string(&stage3_record()), expected);
     }
 
     #[test]
@@ -225,10 +188,10 @@ mod tests {
             counters: Vec::new(),
             eval: None,
         };
-        let line = r.to_jsonl_line();
-        assert!(line.contains("\"lambda\": []"), "{line}");
-        assert!(line.contains("\"counters\": {}"), "{line}");
-        assert!(line.ends_with("\"eval\": null}"), "{line}");
+        let line = json::to_string(&r);
+        assert!(line.contains("\"lambda\":[]"), "{line}");
+        assert!(line.contains("\"counters\":{}"), "{line}");
+        assert!(line.ends_with("\"eval\":null}"), "{line}");
     }
 
     #[test]
@@ -238,9 +201,9 @@ mod tests {
             grad_norm: f64::INFINITY,
             ..stage3_record()
         };
-        let line = r.to_jsonl_line();
-        assert!(line.contains("\"loss_cls\": null"), "{line}");
-        assert!(line.contains("\"grad_norm\": null"), "{line}");
+        let line = json::to_string(&r);
+        assert!(line.contains("\"loss_cls\":null"), "{line}");
+        assert!(line.contains("\"grad_norm\":null"), "{line}");
     }
 
     #[test]

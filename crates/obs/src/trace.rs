@@ -13,125 +13,122 @@
 //! | `CounterSnapshot`  | `"C"` | counter track, `args: {value}`           |
 //!
 //! Timestamps are microseconds (the format's unit) with nanosecond
-//! precision kept as three fixed decimals, so the serialization is
-//! byte-stable and golden-fixture testable. Events appear in journal push
-//! order; per-thread ordering (and thus `"B"`/`"E"` nesting) is preserved
-//! because each thread pushes its own events in program order.
+//! precision kept as three fixed decimals, so the document is byte-stable
+//! in the JSON codec's pretty layout and golden-fixture testable. Events
+//! appear in journal push order; per-thread ordering (and thus `"B"`/`"E"`
+//! nesting) is preserved because each thread pushes its own events in
+//! program order.
 
-use std::io::Write as _;
 use std::path::Path;
 
 use crate::event::{Event, TimedEvent};
-use crate::json::push_str_literal;
+use crate::json::{self, JsonWriter, ToJson};
 
 /// Version stamp written into the trace document (top-level
 /// `schema_version` field, ignored by trace viewers).
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
-/// Appends `ts_ns` as a microsecond timestamp with three decimals
-/// (`1234567` ns → `1234.567`).
-fn push_ts(out: &mut String, ts_ns: u64) {
-    out.push_str(&format!("{}.{:03}", ts_ns / 1000, ts_ns % 1000));
+/// The Chrome `trace_event` document over journal events, pinned by
+/// `tests/golden_trace.rs`.
+pub struct Trace<'a>(pub &'a [TimedEvent]);
+
+impl ToJson for Trace<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("schema_version", &TRACE_SCHEMA_VERSION);
+        w.field("tool", "fairwos-obs");
+        w.field("displayTimeUnit", "ms");
+        w.field("traceEvents", self.0);
+        w.end_object();
+    }
 }
 
-fn push_event(out: &mut String, e: &TimedEvent) {
-    let envelope = |out: &mut String, name: &str, cat: &str, ph: &str| {
-        out.push_str("{\"name\": ");
-        push_str_literal(out, name);
-        out.push_str(", \"cat\": ");
-        push_str_literal(out, cat);
-        out.push_str(&format!(", \"ph\": \"{ph}\", \"ts\": "));
-        push_ts(out, e.ts_ns);
-        out.push_str(&format!(", \"pid\": 1, \"tid\": {}", e.tid));
-    };
-    match &e.event {
-        Event::SpanBegin { label } => {
-            envelope(out, label, "span", "B");
-        }
-        Event::SpanEnd { label } => {
-            envelope(out, label, "span", "E");
-        }
-        Event::Epoch { stage, epoch } => {
-            envelope(out, "train/epoch", "train", "i");
-            out.push_str(&format!(
-                ", \"s\": \"t\", \"args\": {{\"stage\": {stage}, \"epoch\": {epoch}}}"
+/// One trace event: `name`, `cat`, `ph`, `ts`, `pid`, `tid`, then the
+/// instant scope `s` and the `args` object where the event has them.
+impl ToJson for TimedEvent {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let envelope = |w: &mut JsonWriter, name: &str, cat: &str, ph: &str| {
+            w.begin_object();
+            w.field("name", name);
+            w.field("cat", cat);
+            w.field("ph", ph);
+            // Microseconds with three decimals (`1234567` ns → `1234.567`).
+            w.key("ts");
+            w.raw(format_args!(
+                "{}.{:03}",
+                self.ts_ns / 1000,
+                self.ts_ns % 1000
             ));
+            w.field("pid", &1u8);
+            w.field("tid", &self.tid);
+        };
+        let args = |w: &mut JsonWriter, scope: Option<&str>, members: &[(&str, &dyn ToJson)]| {
+            if let Some(s) = scope {
+                w.field("s", s);
+            }
+            w.key("args");
+            w.object(members);
+        };
+        match &self.event {
+            Event::SpanBegin { label } => envelope(w, label, "span", "B"),
+            Event::SpanEnd { label } => envelope(w, label, "span", "E"),
+            Event::Epoch { stage, epoch } => {
+                envelope(w, "train/epoch", "train", "i");
+                args(w, Some("t"), &[("stage", stage), ("epoch", epoch)]);
+            }
+            Event::Alert { code, message } => {
+                envelope(w, code, "alert", "i");
+                args(w, Some("g"), &[("message", message)]);
+            }
+            Event::CounterSnapshot { label, value } => {
+                envelope(w, label, "counter", "C");
+                args(w, None, &[("value", value)]);
+            }
+            Event::Checkpoint {
+                generation,
+                stage,
+                epoch,
+            } => {
+                envelope(w, "train/checkpoint", "persist", "i");
+                args(
+                    w,
+                    Some("t"),
+                    &[
+                        ("generation", generation),
+                        ("stage", stage),
+                        ("epoch", epoch),
+                    ],
+                );
+            }
+            Event::Rollback {
+                generation,
+                stage,
+                epoch,
+            } => {
+                envelope(w, "train/rollback", "persist", "i");
+                args(
+                    w,
+                    Some("g"),
+                    &[
+                        ("generation", generation),
+                        ("stage", stage),
+                        ("epoch", epoch),
+                    ],
+                );
+            }
         }
-        Event::Alert { code, message } => {
-            envelope(out, code, "alert", "i");
-            out.push_str(", \"s\": \"g\", \"args\": {\"message\": ");
-            push_str_literal(out, message);
-            out.push('}');
-        }
-        Event::CounterSnapshot { label, value } => {
-            envelope(out, label, "counter", "C");
-            out.push_str(&format!(", \"args\": {{\"value\": {value}}}"));
-        }
-        Event::Checkpoint {
-            generation,
-            stage,
-            epoch,
-        } => {
-            envelope(out, "train/checkpoint", "persist", "i");
-            out.push_str(&format!(
-                ", \"s\": \"t\", \"args\": {{\"generation\": {generation}, \"stage\": {stage}, \
-                 \"epoch\": {epoch}}}"
-            ));
-        }
-        Event::Rollback {
-            generation,
-            stage,
-            epoch,
-        } => {
-            envelope(out, "train/rollback", "persist", "i");
-            out.push_str(&format!(
-                ", \"s\": \"g\", \"args\": {{\"generation\": {generation}, \"stage\": {stage}, \
-                 \"epoch\": {epoch}}}"
-            ));
-        }
+        w.end_object();
     }
-    out.push('}');
 }
 
-/// Serializes `events` as a Chrome `trace_event` JSON document (one event
-/// per line inside `traceEvents`, trailing newline). The exact bytes are
-/// pinned by `tests/golden_trace.rs`.
-pub fn trace_json(events: &[TimedEvent]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema_version\": {TRACE_SCHEMA_VERSION},\n"));
-    out.push_str("  \"tool\": \"fairwos-obs\",\n");
-    out.push_str("  \"displayTimeUnit\": \"ms\",\n");
-    out.push_str("  \"traceEvents\": [");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str("\n    ");
-        push_event(&mut out, e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-    }
-    if events.is_empty() {
-        out.push(']');
-    } else {
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-/// Writes [`trace_json`] to `path`, creating parent directories.
+/// Writes the [`Trace`] document of `events` to `path` (pretty), creating
+/// parent directories.
 ///
 /// # Errors
 ///
 /// Propagates any I/O error from directory creation or the file write.
 pub fn write_trace_json(path: &Path, events: &[TimedEvent]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(trace_json(events).as_bytes())
+    crate::write_file(path, &json::to_string_pretty(&Trace(events)))
 }
 
 #[cfg(test)]
@@ -142,16 +139,21 @@ mod tests {
         TimedEvent { ts_ns, tid, event }
     }
 
+    /// The compact text of the document, for pinning event fragments.
+    fn compact(events: &[TimedEvent]) -> String {
+        json::to_string(&Trace(events))
+    }
+
     #[test]
     fn empty_journal_serializes_as_empty_array() {
-        let doc = trace_json(&[]);
+        let doc = json::to_string_pretty(&Trace(&[]));
         assert!(doc.contains("\"traceEvents\": []\n}"), "{doc}");
         assert!(doc.starts_with("{\n  \"schema_version\": 1,\n"));
     }
 
     #[test]
     fn span_pair_maps_to_b_and_e_with_microsecond_ts() {
-        let doc = trace_json(&[
+        let doc = compact(&[
             at(
                 1_500,
                 0,
@@ -169,17 +171,17 @@ mod tests {
         ]);
         assert!(
             doc.contains(
-                "{\"name\": \"train/stage2/epoch\", \"cat\": \"span\", \"ph\": \"B\", \
-                 \"ts\": 1.500, \"pid\": 1, \"tid\": 0}"
+                "{\"name\":\"train/stage2/epoch\",\"cat\":\"span\",\"ph\":\"B\",\
+                 \"ts\":1.500,\"pid\":1,\"tid\":0}"
             ),
             "{doc}"
         );
-        assert!(doc.contains("\"ph\": \"E\", \"ts\": 2501.250"), "{doc}");
+        assert!(doc.contains("\"ph\":\"E\",\"ts\":2501.250"), "{doc}");
     }
 
     #[test]
     fn instants_and_counters_carry_args() {
-        let doc = trace_json(&[
+        let doc = compact(&[
             at(0, 1, Event::Epoch { stage: 3, epoch: 7 }),
             at(
                 10,
@@ -199,21 +201,21 @@ mod tests {
             ),
         ]);
         assert!(
-            doc.contains("\"args\": {\"stage\": 3, \"epoch\": 7}"),
+            doc.contains("\"s\":\"t\",\"args\":{\"stage\":3,\"epoch\":7}"),
             "{doc}"
         );
-        assert!(doc.contains("\"name\": \"watchdog/loss_spike\""), "{doc}");
+        assert!(doc.contains("\"name\":\"watchdog/loss_spike\""), "{doc}");
         assert!(
-            doc.contains("\"args\": {\"message\": \"loss 9 exceeded baseline\"}"),
+            doc.contains("\"s\":\"g\",\"args\":{\"message\":\"loss 9 exceeded baseline\"}"),
             "{doc}"
         );
-        assert!(doc.contains("\"ph\": \"C\", \"ts\": 0.020"), "{doc}");
-        assert!(doc.contains("\"args\": {\"value\": 1234}"), "{doc}");
+        assert!(doc.contains("\"ph\":\"C\",\"ts\":0.020"), "{doc}");
+        assert!(doc.contains("\"tid\":1,\"args\":{\"value\":1234}"), "{doc}");
     }
 
     #[test]
     fn checkpoint_and_rollback_are_persist_instants() {
-        let doc = trace_json(&[
+        let doc = compact(&[
             at(
                 5,
                 0,
@@ -234,14 +236,14 @@ mod tests {
             ),
         ]);
         assert!(
-            doc.contains("\"name\": \"train/checkpoint\", \"cat\": \"persist\", \"ph\": \"i\""),
+            doc.contains("\"name\":\"train/checkpoint\",\"cat\":\"persist\",\"ph\":\"i\""),
             "{doc}"
         );
         assert!(
-            doc.contains("\"args\": {\"generation\": 3, \"stage\": 2, \"epoch\": 40}"),
+            doc.contains("\"args\":{\"generation\":3,\"stage\":2,\"epoch\":40}"),
             "{doc}"
         );
-        assert!(doc.contains("\"name\": \"train/rollback\""), "{doc}");
+        assert!(doc.contains("\"name\":\"train/rollback\""), "{doc}");
     }
 
     #[test]
@@ -252,7 +254,7 @@ mod tests {
         let events = [at(5, 0, Event::Epoch { stage: 1, epoch: 0 })];
         write_trace_json(&path, &events).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, trace_json(&events));
+        assert_eq!(body, json::to_string_pretty(&Trace(&events)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

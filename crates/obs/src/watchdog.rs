@@ -18,17 +18,20 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WatchdogPolicy {
     /// A loss above `spike_factor ×` the trailing-window minimum (clamped
-    /// below by `loss_floor`) counts as a spike.
+    /// below by `loss_floor`) counts as a spike. Must be > 1.
     pub spike_factor: f64,
-    /// How many recent finite losses the trailing window holds.
+    /// How many recent finite losses the trailing window holds. Must be
+    /// ≥ 1.
     pub window: usize,
     /// A gradient norm above this (or non-finite) counts as an explosion.
+    /// Must be positive.
     pub grad_limit: f64,
     /// Slack for the λ feasibility check: each λᵢ must lie in
-    /// `[-tol, 1 + tol]` and Σλ must be within `tol` of 1.
+    /// `[-tol, 1 + tol]` and Σλ must be within `tol` of 1. Must be
+    /// positive.
     pub lambda_tol: f64,
     /// Lower clamp on the spike baseline, so a near-zero early loss does
-    /// not turn ordinary fluctuation into a spike.
+    /// not turn ordinary fluctuation into a spike. Must be positive.
     pub loss_floor: f64,
 }
 
@@ -43,6 +46,12 @@ impl Default for WatchdogPolicy {
         }
     }
 }
+
+// A missing field takes its default, so configs serialized before a
+// threshold existed still load.
+crate::json_struct!(ToJson, FromJson for WatchdogPolicy {
+    spike_factor, window, grad_limit, lambda_tol, loss_floor, ..Self::default()
+});
 
 /// Why the watchdog declared a run divergent.
 #[derive(Clone, Debug, PartialEq)]

@@ -2,9 +2,10 @@
 //!
 //! A hand-built [`RunMetrics`] batch is serialized and compared
 //! byte-for-byte against the checked-in fixture, so any change to the
-//! schema — field order, indentation, number formatting, the wrapper
-//! document — shows up as an explicit diff in review instead of silently
-//! breaking downstream readers of `results/bench_pipeline.json`.
+//! schema — field order, number formatting, the wrapper document — shows
+//! up as an explicit diff in review instead of silently breaking
+//! downstream readers of `results/bench_pipeline.json`. The fixture is in
+//! the JSON codec's pretty layout: parsed and re-emitted, it is unchanged.
 //!
 //! To regenerate after an *intentional* schema change (bump
 //! `SCHEMA_VERSION` first):
@@ -13,7 +14,8 @@
 //! cargo test -p fairwos-obs --test golden_run_metrics -- --ignored regenerate
 //! ```
 
-use fairwos_obs::{pipeline_json, CounterMetric, RunMetrics, ScaleMetric, SpanMetric};
+use fairwos_obs::json::{self, Value};
+use fairwos_obs::{CounterMetric, Pipeline, RunMetrics, ScaleMetric, SpanMetric};
 
 const FIXTURE: &str = include_str!("fixtures/run_metrics_golden.json");
 
@@ -82,13 +84,15 @@ fn golden_runs() -> Vec<RunMetrics> {
 
 #[test]
 fn pipeline_json_matches_the_checked_in_fixture() {
-    let actual = pipeline_json(&golden_runs());
+    let actual = json::to_string_pretty(&Pipeline(&golden_runs()));
     assert_eq!(
         actual, FIXTURE,
         "bench_pipeline.json schema drifted from the golden fixture; if the \
          change is intentional, bump SCHEMA_VERSION and regenerate with \
          `cargo test -p fairwos-obs --test golden_run_metrics -- --ignored regenerate`"
     );
+    let parsed = Value::parse(FIXTURE).expect("fixture parses");
+    assert_eq!(json::to_string_pretty(&parsed), FIXTURE, "fixture re-emits");
 }
 
 #[test]
@@ -99,7 +103,7 @@ fn fixture_is_valid_for_naive_line_readers() {
     assert!(FIXTURE.starts_with("{\n  \"schema_version\": 1,\n"));
     assert!(FIXTURE.contains("\"tool\": \"fairwos-obs\""));
     assert!(FIXTURE.contains("\"runs\": ["));
-    assert!(FIXTURE.ends_with("}\n"));
+    assert!(FIXTURE.ends_with("]\n}"));
 }
 
 #[test]
@@ -107,5 +111,5 @@ fn fixture_is_valid_for_naive_line_readers() {
 fn regenerate() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/run_metrics_golden.json");
-    std::fs::write(&path, pipeline_json(&golden_runs())).unwrap();
+    std::fs::write(&path, json::to_string_pretty(&Pipeline(&golden_runs()))).unwrap();
 }

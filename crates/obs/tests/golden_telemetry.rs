@@ -1,9 +1,11 @@
 //! Byte-level golden test for the telemetry JSONL schema
-//! (`schema_version: 1`). If this fails you changed the line layout:
+//! (`schema_version: 1`), one compact codec line per record. If this fails
+//! you changed the line layout:
 //! bump [`fairwos_obs::TELEMETRY_SCHEMA_VERSION`], regenerate the fixture
 //! (`cargo test -p fairwos-obs --test golden_telemetry -- --ignored`), and
 //! update `docs/OBSERVABILITY.md`.
 
+use fairwos_obs::json::{self, Value};
 use fairwos_obs::{EpochRecord, EvalMetrics, TelemetrySink};
 
 const FIXTURE: &str = include_str!("fixtures/telemetry_golden.jsonl");
@@ -45,6 +47,10 @@ fn golden_sink() -> TelemetrySink {
 #[test]
 fn telemetry_jsonl_matches_fixture_byte_for_byte() {
     assert_eq!(golden_sink().to_jsonl(), FIXTURE);
+    for line in FIXTURE.lines() {
+        let parsed = Value::parse(line).expect("fixture line parses");
+        assert_eq!(json::to_string(&parsed), line, "fixture line re-emits");
+    }
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! Byte-level golden test for the Chrome `trace_event` export
-//! (`schema_version: 1`). If this fails you changed the document layout:
-//! bump [`fairwos_obs::TRACE_SCHEMA_VERSION`], regenerate the fixture
+//! (`schema_version: 1`), in the JSON codec's pretty layout. If this fails
+//! you changed the document: bump [`fairwos_obs::TRACE_SCHEMA_VERSION`],
+//! regenerate the fixture
 //! (`cargo test -p fairwos-obs --test golden_trace -- --ignored`), and
 //! re-check the output still loads in Perfetto.
 
-use fairwos_obs::{trace_json, Event, TimedEvent};
+use fairwos_obs::json::{self, Value};
+use fairwos_obs::{Event, TimedEvent, Trace};
 
 const FIXTURE: &str = include_str!("fixtures/trace_golden.json");
 
@@ -31,7 +33,9 @@ fn golden_events() -> Vec<TimedEvent> {
 
 #[test]
 fn trace_document_matches_fixture_byte_for_byte() {
-    assert_eq!(trace_json(&golden_events()), FIXTURE);
+    assert_eq!(json::to_string_pretty(&Trace(&golden_events())), FIXTURE);
+    let parsed = Value::parse(FIXTURE).expect("fixture parses");
+    assert_eq!(json::to_string_pretty(&parsed), FIXTURE, "fixture re-emits");
 }
 
 #[test]
@@ -39,5 +43,5 @@ fn trace_document_matches_fixture_byte_for_byte() {
 fn regenerate() {
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/trace_golden.json");
-    std::fs::write(&path, trace_json(&golden_events())).unwrap();
+    std::fs::write(&path, json::to_string_pretty(&Trace(&golden_events()))).unwrap();
 }

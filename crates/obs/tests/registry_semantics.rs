@@ -242,7 +242,8 @@ fn snapshot_surfaces_journal_drops_and_gauges_without_touching_run_metrics() {
 
     // Gauges are a live-export concern only: the byte-pinned RunMetrics
     // schema must not grow a gauges section.
-    let json = obs::pipeline_json(&[obs::RunMetrics::capture("m", "d", "b", 0, 0.0)]);
+    let runs = [obs::RunMetrics::capture("m", "d", "b", 0, 0.0)];
+    let json = obs::json::to_string_pretty(&obs::Pipeline(&runs));
     assert!(
         !json.contains("\"gauges\""),
         "RunMetrics JSON must stay gauge-free"

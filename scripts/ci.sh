@@ -7,9 +7,10 @@
 # build plus the exp_chaos fault-injection soak smoke, the FW static
 # lints, the finite-difference gradient sweep, instrumented bench smoke
 # runs that must produce results/bench_pipeline.json plus the
-# trace/telemetry artifacts, and a wall-time report against the newest
+# trace/telemetry artifacts, a wall-time report against the newest
 # committed BENCH file (exact work is gated by tests/work_counters.rs in
-# the checked+obs test pass).
+# the checked+obs test pass), and a last JSON codec pass over every
+# results/*.json those steps wrote.
 # Mirrors .github/workflows/ci.yml.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -94,5 +95,8 @@ cargo run --release -p fairwos-audit -- lint
 
 echo "==> fairwos-audit gradients"
 cargo run --release -p fairwos-audit -- gradients
+
+echo "==> JSON codec re-emit of every results/*.json, including the ones written above"
+cargo test -q --offline --test json_codec
 
 echo "CI gate passed."

@@ -27,9 +27,10 @@
 //! rows moved and why.
 //!
 //! **Features.** The table is pinned for the default features; `checked`
-//! leaves it unchanged. Under `obs` every span and counter record
-//! allocates its label key on the recording thread, and the process-global
-//! registry and journal grow on whichever thread reaches them first, so
+//! leaves it unchanged. Under `obs` a label key is allocated the first
+//! time a span, counter or gauge records under it, every span's journal
+//! events own a copy of its label, and the process-global registry and
+//! journal grow on whichever thread reaches them first, so
 //! the counts change from run to run: under `obs` the test prints the
 //! table and compares nothing.
 

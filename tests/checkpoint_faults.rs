@@ -288,10 +288,10 @@ fn mid_epoch_resume_is_bit_identical_to_uninterrupted() {
 fn minibatch_checkpoint_fields_survive_the_serde_round_trip() {
     use fairwos::core::checkpoint::{decode_checkpoint, encode_checkpoint};
 
-    // FW009 keeps the manifest in sync with the struct; this pins the other
-    // half of the contract — the new mini-batch fields actually travel
-    // through the sealed-blob round trip instead of deserializing to their
-    // `#[serde(default)]` of `None`.
+    // The compiler keeps capture and decoding in step with the struct; this
+    // pins the other half of the contract — the mini-batch fields actually
+    // travel through the sealed-blob round trip instead of decoding to
+    // their missing-key default of `None`.
     let ds = small_dataset();
     let mut store = MemoryCheckpointStore::new();
     FairwosTrainer::new(minibatch_recovery_config())
@@ -317,7 +317,7 @@ fn minibatch_checkpoint_fields_survive_the_serde_round_trip() {
     assert!(
         String::from_utf8_lossy(&blob).contains("\"sampler_rng\"")
             && String::from_utf8_lossy(&blob).contains("\"batch_cursor\""),
-        "the new manifest fields must be spelled out in the stored JSON"
+        "the mini-batch fields must be spelled out in the stored JSON"
     );
     let back = decode_checkpoint(&blob).expect("re-encoded checkpoint decodes");
     assert_eq!(

@@ -134,10 +134,9 @@ fn explosive_learning_rate_surfaces_as_err_not_panic() {
 
 #[test]
 fn watchdog_config_round_trips_and_matches_obs_defaults() {
-    // The JSON-facing config mirrors the obs-side policy so thresholds
+    // The JSON-facing config is the obs-side policy, so thresholds
     // configured in JSON land unchanged in the watchdog.
-    let cfg = WatchdogConfig::default();
-    let policy = cfg.policy();
+    let policy: WatchdogPolicy = FairwosConfig::fast(Backbone::Gcn).watchdog;
     assert_eq!(policy, WatchdogPolicy::default());
     // Older serialized configs (no watchdog block) still deserialize.
     let legacy: FairwosConfig = fairwos_obs::json::from_str(&fairwos_obs::json::to_string(
