@@ -43,10 +43,13 @@ impl Encoder {
     /// single-block infinite-fanout schedule reproduces the full-batch
     /// encoder bit for bit.
     ///
+    /// The whole graph's `Â·X` is built once: the identity schedule's batch
+    /// borrows it, a sampled batch takes its rows (the exact first-layer
+    /// aggregate, not one over the sampled subgraph), and `X⁰` is computed
+    /// from it.
+    ///
     /// Returns the encoder and its whole-graph extraction `X⁰` (Eq. 6),
-    /// equal to [`Encoder::extract`] bit for bit. When training built the
-    /// whole graph's `Â·X` (the identity schedule), `X⁰` is computed from
-    /// it rather than aggregating the features a second time.
+    /// equal to [`Encoder::extract`] bit for bit.
     ///
     /// # Panics
     /// If `input` fails [`TrainInput::validate`]. Callers with an error
@@ -69,8 +72,9 @@ impl Encoder {
         // borrowing the trainer workspace.
         let mut ws = Workspace::new();
         // X is constant: the whole graph's aggregate `Â·X` is computed once
-        // per fit, on first use; a sampled batch aggregates its own rows.
-        let mut full_input = None;
+        // per fit. A sampled batch takes its rows of it rather than
+        // aggregating over its sampled subgraph.
+        let full_input = gnn.aggregate_input(ctx, input.features, &mut ws);
         let mut agg: Vec<(f32, u64)> = Vec::new();
         for epoch in 0..epochs {
             fairwos_obs::journal_epoch(1, epoch as u64);
@@ -83,15 +87,8 @@ impl Encoder {
                 }
                 let _obs = b.trace();
                 gnn.zero_grad();
-                let x_local = b.gather(input.features, &mut ws);
-                let local_input = x_local
-                    .as_ref()
-                    .map(|x| gnn.aggregate_input(b.ctx, x, &mut ws));
-                let batch_input = match &local_input {
-                    Some(local) => local,
-                    None => full_input
-                        .get_or_insert_with(|| gnn.aggregate_input(ctx, input.features, &mut ws)),
-                };
+                let local_input = b.gather(&full_input, &mut ws);
+                let batch_input = local_input.as_ref().unwrap_or(&full_input);
                 let out = gnn.forward_train_ws(batch_input, &mut ws);
                 let (loss, dlogits) = softmax_cross_entropy_masked_ws(
                     &out.logits,
@@ -107,18 +104,12 @@ impl Encoder {
                 if let Some(local) = local_input {
                     local.recycle(&mut ws);
                 }
-                if let Some(x) = x_local {
-                    ws.give(x);
-                }
                 opt.step(&mut gnn.params_mut());
             }
             losses.push(weighted_mean(&agg));
         }
         let encoder = Self { gnn, losses };
-        let x0 = match &full_input {
-            Some(full) => encoder.extract_aggregated(ctx, input.features, full.aggregate()),
-            None => encoder.extract(ctx, input.features),
-        };
+        let x0 = encoder.extract_aggregated(ctx, input.features, full_input.aggregate());
         (encoder, x0)
     }
 

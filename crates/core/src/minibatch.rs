@@ -18,11 +18,17 @@
 //! propagation matrices. See `docs/SCALING.md` for the knobs and the full
 //! determinism contract; the load-bearing pieces are:
 //!
-//! * **Restriction, not renormalization** — local propagation matrices keep
-//!   the full matrix's values verbatim on the sampled (symmetrized) edge
-//!   set, so with one block covering every node at infinite fanout each
-//!   kernel call is bit-identical to the identity plan's, and
-//!   `tests/minibatch_equiv.rs` pins full-batch ≡ mini-batch bit for bit.
+//! * **Exact first-layer aggregates** — the first conv layer's input is
+//!   constant within a stage (`X` in stage 1, the frozen `X⁰` after it), so
+//!   a batch takes its rows of the once-per-fit whole-graph aggregate
+//!   ([`GnnInput::gather`]) instead of aggregating over its sampled edges.
+//! * **Unbiased restriction, not renormalization** — local propagation
+//!   matrices keep the full matrix's values on the sampled (symmetrized)
+//!   edge set, each divided by the edge's inclusion probability (exactly 1
+//!   at infinite fanout), so with one block covering every node at
+//!   infinite fanout each kernel call is bit-identical to the identity
+//!   plan's, and `tests/minibatch_equiv.rs` pins full-batch ≡ mini-batch
+//!   bit for bit.
 //! * **Dedicated sampler RNG streams** — batch salts and shuffles draw from
 //!   their own ChaCha streams, never the main training stream, so enabling
 //!   mini-batching does not perturb weight initialization.
@@ -86,8 +92,8 @@ pub struct BatchPlan {
 }
 
 /// One prepared mini-batch: the sampled subgraph, its propagation context
-/// (restricted from the full graph's matrices), and the batch's slice of
-/// the training split in local ids.
+/// (restricted from the full graph's matrices, inverse-inclusion weighted),
+/// and the batch's slice of the training split in local ids.
 pub(crate) struct PreparedBatch {
     /// The sampled computation subgraph (global↔local remapping).
     pub(crate) sub: SubgraphSample,
@@ -160,9 +166,10 @@ impl BatchPlan {
         let sub = self.sampler.sample_block(input.graph, salt, block);
         fairwos_obs::counter_add("minibatch/sampled_nodes", sub.num_nodes() as u64);
         // Restrict all four propagation matrices: the batch context must
-        // serve whichever normalization the backbone (and the stage-1 GCN
-        // encoder) asks for. The full matrices are built lazily once per
-        // run by the shared cache; restriction keeps their values verbatim.
+        // serve whichever normalization the backbone asks for past its first
+        // layer (and GAT's first layer). The full matrices are built lazily
+        // once per run by the shared cache; restriction divides their values
+        // by each sampled edge's inclusion probability.
         let gcn = sub.restrict(ctx_full.gcn_adj());
         let sum = sub.restrict(ctx_full.sum_adj());
         let mean = sub.restrict(ctx_full.mean_adj());
@@ -324,10 +331,16 @@ pub(crate) struct Batch<'a> {
 }
 
 impl Batch<'_> {
-    /// The batch's rows of `x`: `None` when the batch is the whole graph
-    /// (use `x` itself), a pooled gathered copy otherwise.
-    pub(crate) fn gather(&self, x: &Matrix, ws: &mut Workspace) -> Option<Matrix> {
-        self.nodes.map(|nodes| gather_rows(x, nodes, ws))
+    /// The batch's rows of the constant first-layer input `full`: `None`
+    /// when the batch is the whole graph (use `full` itself), a pooled
+    /// gather of its rows and exact aggregate rows otherwise (see
+    /// [`GnnInput::gather`]).
+    pub(crate) fn gather<'b>(
+        &'b self,
+        full: &GnnInput<'_>,
+        ws: &mut Workspace,
+    ) -> Option<GnnInput<'b>> {
+        self.nodes.map(|nodes| full.gather(self.ctx, nodes, ws))
     }
 
     /// `values` indexed by local id: borrowed when local ids are global ids,
@@ -348,17 +361,6 @@ impl Batch<'_> {
             guard
         })
     }
-}
-
-/// Copies the given global rows of `src` into a pooled local matrix
-/// (`Workspace::take` + row fill — `Matrix::select_rows` would allocate
-/// outside the pool on every batch).
-fn gather_rows(src: &Matrix, nodes: &[usize], ws: &mut Workspace) -> Matrix {
-    let mut out = ws.take(nodes.len(), src.cols());
-    for (l, &v) in nodes.iter().enumerate() {
-        out.row_mut(l).copy_from_slice(src.row(v));
-    }
-    out
 }
 
 /// Train-count-weighted mean of per-batch `(value, count)` losses. A single
@@ -577,8 +579,8 @@ pub(crate) fn train(
     }
     // X⁰ is frozen: its first-layer aggregate is computed once per fit. The
     // identity plan's batch borrows it every epoch; sampled plans use it
-    // for the epoch-start full-graph passes and aggregate each batch's rows
-    // once.
+    // for the epoch-start full-graph passes, and each batch takes its rows
+    // of it.
     let full_input = gnn.aggregate_input(&ctx, &x0, ws);
     let mut st = FitState {
         seed,
@@ -640,7 +642,6 @@ pub(crate) fn train(
     let mut fit = Fit {
         input,
         ctx: &ctx,
-        x0: &x0,
         full_input: &full_input,
         ws,
         schedule,
@@ -754,8 +755,7 @@ pub(crate) fn train(
 struct Fit<'a, 'w, 'l> {
     input: &'a TrainInput<'a>,
     ctx: &'a GraphContext,
-    x0: &'a Matrix,
-    /// X⁰'s first-layer aggregate over the whole graph.
+    /// X⁰ with its first-layer aggregate over the whole graph.
     full_input: &'a GnnInput<'a>,
     ws: &'w mut Workspace,
     schedule: Schedule,
@@ -801,8 +801,7 @@ impl Fit<'_, '_, '_> {
         epoch: usize,
         fairness: Option<&Fairness<'_>>,
     ) -> Result<(), TrainError> {
-        let (cfg, input, ctx, x0, full_input) =
-            (self.st.cfg, self.input, self.ctx, self.x0, self.full_input);
+        let (cfg, input, ctx, full_input) = (self.st.cfg, self.input, self.ctx, self.full_input);
         let (stage, label) = match fairness {
             None => (2, "train/stage2/epoch"),
             Some(_) => (3, "train/stage3/epoch"),
@@ -847,10 +846,7 @@ impl Fit<'_, '_, '_> {
             let ws = &mut *self.ws;
             let st = &mut self.st;
             st.gnn.zero_grad();
-            let x_local = b.gather(x0, ws);
-            let local_input = x_local
-                .as_ref()
-                .map(|x| st.gnn.aggregate_input(b.ctx, x, ws));
+            let local_input = b.gather(full_input, ws);
             let batch_input = local_input.as_ref().unwrap_or(full_input);
             let out = st.gnn.forward_train_ws(batch_input, ws);
             let (loss_u, dlogits) = bce_with_logits_masked_ws(&out.logits, b.labels, b.train, ws);
@@ -886,9 +882,6 @@ impl Fit<'_, '_, '_> {
             ws.give(out.embeddings);
             if let Some(li) = local_input {
                 li.recycle(ws);
-            }
-            if let Some(x) = x_local {
-                ws.give(x);
             }
             if self.persist.is_some()
                 && checkpoint_batches > 0
@@ -1174,15 +1167,5 @@ mod tests {
         assert!(max_or_nan(f32::NAN, 0.0).is_nan());
         assert_eq!(max_or_nan(0.0, 3.5), 3.5);
         assert_eq!(max_or_nan(f32::INFINITY, 1.0), f32::INFINITY);
-    }
-
-    #[test]
-    fn gather_rows_copies_the_requested_rows() {
-        let src = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let mut ws = Workspace::new();
-        let got = gather_rows(&src, &[2, 0], &mut ws);
-        assert_eq!(got.row(0), &[5.0, 6.0]);
-        assert_eq!(got.row(1), &[1.0, 2.0]);
-        ws.give(got);
     }
 }

@@ -39,8 +39,9 @@ impl AdjacencyCache {
 
     /// A cache whose four propagation matrices are already built —
     /// used by the mini-batch path, which *restricts* the full graph's
-    /// normalized matrices to a sampled subgraph instead of renormalizing
-    /// (see `fairwos_graph::sampling::SubgraphSample::restrict`).
+    /// normalized matrices to a sampled subgraph, weighting each sampled
+    /// edge by its inverse inclusion probability, instead of renormalizing
+    /// (see [`crate::SubgraphSample::restrict`]).
     pub fn with_prebuilt(
         graph: Graph,
         gcn: CsrMatrix,

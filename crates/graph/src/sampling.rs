@@ -13,17 +13,21 @@
 //!    other nodes were sampled before it.
 //! 3. [`SubgraphSample`] — the induced computation subgraph of one block:
 //!    global↔local id remapping plus *restriction* of the full graph's
-//!    normalized propagation matrices to the sampled edge set.
+//!    normalized propagation matrices to the sampled edge set, each kept
+//!    edge weighted by its inverse inclusion probability (GraphSAINT's
+//!    normalization, Zeng et al., ICLR'20), so a restricted aggregate is an
+//!    unbiased estimate of the full one.
 //!
 //! # Determinism contract
 //!
 //! * `fanout = 0` (or a fanout ≥ the node's degree) copies the neighbor list
 //!   verbatim and constructs **no RNG** — an "infinite fanout" sample of the
 //!   whole node set restricts to the full propagation matrix *bit-for-bit*
-//!   (same values, same per-row column order, hence the same FMA order in
-//!   `spmm`).
+//!   (every inclusion probability is exactly 1, so the same values, the same
+//!   per-row column order, hence the same FMA order in `spmm`).
 //! * The sampled edge set is symmetrized (if `u` sampled `v`, the local
-//!   matrices also carry `v → u`), keeping the restricted GCN/GIN operators
+//!   matrices also carry `v → u`), and an edge's inclusion probability is
+//!   symmetric in its endpoints, keeping the restricted GCN/GIN operators
 //!   symmetric — the analytic backward passes in `fairwos-nn` rely on
 //!   `Âᵀ = Â` for those backbones.
 
@@ -110,9 +114,12 @@ impl NeighborSampler {
     /// Layer-0 samples the seeds' neighborhoods; every node first reached
     /// at layer `l` is expanded once with layer-`l+1` fanout. Nodes first
     /// reached at the deepest layer join the subgraph unexpanded (their
-    /// restricted propagation rows carry only the diagonal, if the full
-    /// matrix has one). The sampled edge set is symmetrized so the
-    /// restricted GCN/GIN operators stay symmetric.
+    /// restricted propagation rows carry only the edges to the nodes that
+    /// picked them, and the diagonal if the full matrix has one). The
+    /// sampled edge set is symmetrized so the restricted GCN/GIN operators
+    /// stay symmetric. Each node's inclusion rate is recorded for
+    /// [`SubgraphSample::restrict`]: the share of its edges its own
+    /// expansion keeps (0 when unexpanded).
     ///
     /// # Panics
     /// If `block` contains an out-of-range or duplicate node id.
@@ -126,14 +133,21 @@ impl NeighborSampler {
             seen[v] = true;
             order.push(v);
         }
-        // (expanded node, its sampled global neighbors), one entry per
-        // expansion; each node is expanded at most once.
-        let mut sampled: Vec<(usize, Vec<usize>)> = Vec::new();
+        // (expanded node, its inclusion rate, its sampled global
+        // neighbors), one entry per expansion; each node is expanded at
+        // most once.
+        let mut sampled: Vec<(usize, f32, Vec<usize>)> = Vec::new();
         let mut frontier: Vec<usize> = block.to_vec();
-        for layer in 0..self.fanout.len() {
+        for (layer, &f) in self.fanout.iter().enumerate() {
             let mut next = Vec::new();
             for &v in &frontier {
                 let picks = self.sample_neighbors(graph, salt, layer, v);
+                let degree = graph.degree(v);
+                let rate = if f == 0 || f >= degree {
+                    1.0
+                } else {
+                    f as f32 / degree as f32
+                };
                 for &u in &picks {
                     if !seen[u] {
                         seen[u] = true;
@@ -141,15 +155,17 @@ impl NeighborSampler {
                         next.push(u);
                     }
                 }
-                sampled.push((v, picks));
+                sampled.push((v, rate, picks));
             }
             frontier = next;
         }
         let mut nodes = order;
         nodes.sort_unstable();
         let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        for (v, picks) in &sampled {
+        let mut inclusion = vec![0.0; nodes.len()];
+        for (v, rate, picks) in &sampled {
             let lv = local_index(&nodes, *v);
+            inclusion[lv] = *rate;
             for &u in picks {
                 let lu = local_index(&nodes, u);
                 neighbors[lv].push(lu);
@@ -165,6 +181,7 @@ impl NeighborSampler {
             nodes,
             targets,
             neighbors,
+            inclusion,
         }
     }
 }
@@ -178,13 +195,14 @@ fn local_index(nodes: &[usize], global: usize) -> usize {
 }
 
 /// One mini-batch's computation subgraph: the sampled node set with
-/// global↔local remapping and the symmetrized sampled edge set.
+/// global↔local remapping, the symmetrized sampled edge set, and each
+/// node's inclusion rate.
 ///
 /// Local ids are positions in the ascending global id list, so local id
 /// order is monotone in global id order — at infinite fanout over a block
 /// covering the whole graph, local and global ids coincide and
 /// [`SubgraphSample::restrict`] reproduces the full matrix bit-for-bit.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubgraphSample {
     /// Sorted global ids of every node in the subgraph.
     nodes: Vec<usize>,
@@ -193,6 +211,10 @@ pub struct SubgraphSample {
     /// Per local node: sorted local ids of its sampled (symmetrized)
     /// neighbors.
     neighbors: Vec<Vec<usize>>,
+    /// Per local node: the probability `q` that it keeps any one of its
+    /// edges when expanded — 1 at fanout 0 or a fanout ≥ its degree,
+    /// `fanout / degree` below that, 0 for a node never expanded.
+    inclusion: Vec<f32>,
 }
 
 impl SubgraphSample {
@@ -235,10 +257,17 @@ impl SubgraphSample {
     }
 
     /// Restricts a full-graph propagation matrix (GCN-normalized, row
-    /// -normalized, or raw sum adjacency) to the sampled edge set, keeping
-    /// the full matrix's values verbatim. Diagonal entries of the full
-    /// matrix are always kept (the GCN normalization's self-loop); matrices
-    /// without a diagonal are unaffected.
+    /// -normalized, or raw sum adjacency) to the sampled edge set. Each
+    /// kept off-diagonal entry `w_vu` is divided by the edge's inclusion
+    /// probability `p_vu = 1 − (1 − q_v)(1 − q_u)` (either endpoint's
+    /// expansion may have kept it), so every row's restricted aggregate is
+    /// an unbiased estimate of its full one. `p_vu` is symmetric, so a
+    /// symmetric matrix restricts to a symmetric one and the restriction of
+    /// a transpose is the transpose of the restriction; at fanout 0 every
+    /// `p_vu` is exactly 1 and the values are the full matrix's, bit for
+    /// bit. Diagonal entries of the full matrix are always kept verbatim
+    /// (the GCN normalization's self-loop); matrices without a diagonal are
+    /// unaffected.
     ///
     /// # Panics
     /// If `full` is not square over the parent graph's node ids.
@@ -254,7 +283,8 @@ impl SubgraphSample {
             for &lu in &self.neighbors[lv] {
                 let w = full.get(v, self.nodes[lu]);
                 if w != 0.0 {
-                    triplets.push((lv, lu, w));
+                    let p = 1.0 - (1.0 - self.inclusion[lv]) * (1.0 - self.inclusion[lu]);
+                    triplets.push((lv, lu, w / p));
                 }
             }
             let d = full.get(v, v);
@@ -333,7 +363,7 @@ pub fn partition(graph: &Graph, batch_nodes: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::generate::sensitive_sbm;
-    use crate::{gcn_normalized_adjacency, row_normalized_adjacency};
+    use crate::{gcn_normalized_adjacency, row_normalized_adjacency, sum_adjacency};
 
     fn test_graph() -> Graph {
         let sens: Vec<bool> = (0..45).map(|v| v % 3 == 0).collect();
@@ -436,6 +466,57 @@ mod tests {
             for r in 0..g.num_nodes() {
                 assert_eq!(local.row(r), full.row(r), "row {r} differs");
             }
+        }
+    }
+
+    #[test]
+    fn restriction_weights_kept_edges_by_inverse_inclusion() {
+        let g = test_graph();
+        let v = (0..g.num_nodes()).max_by_key(|&v| g.degree(v)).unwrap();
+        let (f, deg) = (2, g.degree(v));
+        assert!(f < deg, "need a node with spare neighbors");
+        for full in &[
+            gcn_normalized_adjacency(&g),
+            row_normalized_adjacency(&g),
+            sum_adjacency(&g),
+        ] {
+            // One seed, one layer: `v` keeps each edge with rate f/deg(v),
+            // its picks are never expanded, so p = 1 − (1 − f/deg(v)).
+            let sub = NeighborSampler::new(6, vec![f]).sample_block(&g, 21, &[v]);
+            let local = sub.restrict(full);
+            let lv = sub.local_of(v).unwrap();
+            let p = 1.0 - (1.0 - f as f32 / deg as f32);
+            let mut kept = 0;
+            for (lr, gr) in [(lv, v)].into_iter().chain(
+                sub.neighbors_of(lv)
+                    .iter()
+                    .map(|&lu| (lu, sub.global_of(lu))),
+            ) {
+                let (cols, vals) = local.row(lr);
+                for (&lc, &w) in cols.iter().zip(vals) {
+                    let gc = sub.global_of(lc);
+                    let want = full.get(gr, gc);
+                    if lc == lr {
+                        assert_eq!(w.to_bits(), want.to_bits(), "diagonal rescaled");
+                        continue;
+                    }
+                    kept += 1;
+                    assert_eq!(w.to_bits(), (want / p).to_bits(), "entry {gr},{gc}");
+                    let scaled = want * deg as f32 / f as f32;
+                    assert!((w - scaled).abs() <= 1e-6 * scaled.abs(), "{w} vs {scaled}");
+                }
+            }
+            assert_eq!(kept, 2 * f, "each pick is kept in both directions");
+
+            // Fanout 0 keeps the seed's row bitwise.
+            let sub = NeighborSampler::new(6, vec![0]).sample_block(&g, 21, &[v]);
+            let local = sub.restrict(full);
+            let (cols, vals) = local.row(sub.local_of(v).unwrap());
+            let globals: Vec<usize> = cols.iter().map(|&c| sub.global_of(c)).collect();
+            let (full_cols, full_vals) = full.row(v);
+            assert_eq!(globals, full_cols);
+            let bits = |x: &[f32]| x.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(vals), bits(full_vals));
         }
     }
 

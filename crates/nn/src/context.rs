@@ -25,8 +25,10 @@ impl GraphContext {
 
     /// Wraps an already-populated cache — the mini-batch path builds one
     /// per sampled subgraph via [`AdjacencyCache::with_prebuilt`], with the
-    /// propagation matrices *restricted* from the full graph's rather than
-    /// renormalized.
+    /// propagation matrices *restricted* from the full graph's (each
+    /// sampled edge divided by its inclusion probability) rather than
+    /// renormalized over the subgraph. Restriction keeps `Â` and `A`
+    /// symmetric, so the backward passes' `Âᵀ = Â` holds here too.
     pub fn from_cache(cache: AdjacencyCache) -> Self {
         Self { cache }
     }

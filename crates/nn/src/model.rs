@@ -1,6 +1,8 @@
 //! The GNN of the paper: a GCN / GIN / SAGE / GAT stack with a linear head,
 //! trained as the classifier (Eq. 7–9) and as the stage-1 encoder (Eq. 4–6).
 
+use std::borrow::Cow;
+
 use crate::{GatConv, GcnConv, GinConv, GraphContext, Init, Linear, Param, Relu, SageConv};
 use fairwos_tensor::{Matrix, Workspace};
 
@@ -140,8 +142,8 @@ impl Conv {
         match self {
             Conv::Gcn(c) => c.forward_agg_ws(agg, ws),
             Conv::Gin(c) => c.forward_agg_ws(agg, ws),
-            Conv::Sage(c) => c.forward_agg_ws(input.x, agg, ws),
-            Conv::Gat(c) => c.forward_agg_ws(input.ctx, input.x, ws),
+            Conv::Sage(c) => c.forward_agg_ws(&input.x, agg, ws),
+            Conv::Gat(c) => c.forward_agg_ws(input.ctx, &input.x, ws),
         }
     }
 
@@ -151,8 +153,8 @@ impl Conv {
         match self {
             Conv::Gcn(c) => c.backward_params_ws(agg, dy, ws),
             Conv::Gin(c) => c.backward_params_ws(agg, dy, ws),
-            Conv::Sage(c) => c.backward_params_ws(input.x, agg, dy, ws),
-            Conv::Gat(c) => c.backward_params_ws(input.x, dy, ws),
+            Conv::Sage(c) => c.backward_params_ws(&input.x, agg, dy, ws),
+            Conv::Gat(c) => c.backward_params_ws(&input.x, dy, ws),
         }
     }
 
@@ -193,10 +195,12 @@ impl Conv {
 /// caller; every training forward and backward pass over the same `X`
 /// borrows it. The first layer treats `X` as a constant: it never
 /// recomputes the aggregate, caches no copy of it, and computes no `dX`.
-/// Hand the buffer back with [`GnnInput::recycle`] when done.
+/// A batch of its rows comes from [`GnnInput::gather`]. Hand the buffers
+/// back with [`GnnInput::recycle`] when done.
 pub struct GnnInput<'a> {
     ctx: &'a GraphContext,
-    x: &'a Matrix,
+    /// Borrowed from the caller, or a pooled gather of another input's rows.
+    x: Cow<'a, Matrix>,
     /// `None` for GAT, whose aggregate is `x` itself.
     agg: Option<Matrix>,
 }
@@ -204,15 +208,52 @@ pub struct GnnInput<'a> {
 impl GnnInput<'_> {
     /// The first layer's aggregate: what [`Gnn::embed_aggregated`] takes.
     pub fn aggregate(&self) -> &Matrix {
-        self.agg.as_ref().unwrap_or(self.x)
+        self.agg.as_ref().unwrap_or(&self.x)
     }
 
-    /// Returns the aggregate's buffer to `ws`.
+    /// The input of a batch over `ctx`, whose local node `l` is node
+    /// `nodes[l]` of this input: both `X` and the aggregate are this
+    /// input's rows, copied into buffers from `ws`.
+    ///
+    /// The aggregate is not recomputed over `ctx`. `X` is constant, so its
+    /// exact aggregate over the whole graph serves every batch (VR-GCN's
+    /// observation, Chen et al., ICML'18): a batch's first layer reads what
+    /// a whole-graph pass reads, however `ctx` was sampled. GAT has no
+    /// input-only aggregate (its first layer attends with trained weights),
+    /// so its first layer still attends over `ctx`.
+    pub fn gather<'b>(
+        &self,
+        ctx: &'b GraphContext,
+        nodes: &[usize],
+        ws: &mut Workspace,
+    ) -> GnnInput<'b> {
+        GnnInput {
+            ctx,
+            x: Cow::Owned(gather_rows(&self.x, nodes, ws)),
+            agg: self.agg.as_ref().map(|agg| gather_rows(agg, nodes, ws)),
+        }
+    }
+
+    /// Returns the buffers this input owns to `ws`.
     pub fn recycle(self, ws: &mut Workspace) {
+        if let Cow::Owned(x) = self.x {
+            ws.give(x);
+        }
         if let Some(agg) = self.agg {
             ws.give(agg);
         }
     }
+}
+
+/// Copies rows `nodes` of `src` into a pooled matrix (`Workspace::take` +
+/// row fill — `Matrix::select_rows` would allocate outside the pool on
+/// every batch).
+fn gather_rows(src: &Matrix, nodes: &[usize], ws: &mut Workspace) -> Matrix {
+    let mut out = ws.take(nodes.len(), src.cols());
+    for (l, &v) in nodes.iter().enumerate() {
+        out.row_mut(l).copy_from_slice(src.row(v));
+    }
+    out
 }
 
 /// Output of one forward pass.
@@ -291,7 +332,7 @@ impl Gnn {
     ) -> GnnInput<'a> {
         GnnInput {
             ctx,
-            x,
+            x: Cow::Borrowed(x),
             agg: self.convs[0].aggregate_ws(ctx, x, ws),
         }
     }
@@ -493,6 +534,40 @@ mod tests {
             let out = gnn.forward_train_ws(&input, &mut ws);
             assert_eq!(out.embeddings.shape(), (5, 8));
             assert_eq!(out.logits.shape(), (5, 1));
+        }
+    }
+
+    #[test]
+    fn gather_rows_copies_the_requested_rows() {
+        let src = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let mut ws = Workspace::new();
+        let got = gather_rows(&src, &[2, 0], &mut ws);
+        assert_eq!(got.row(0), &[5.0, 6.0]);
+        assert_eq!(got.row(1), &[1.0, 2.0]);
+        ws.give(got);
+    }
+
+    #[test]
+    fn gathered_inputs_take_the_whole_graph_aggregate_rows() {
+        let ctx = small_ctx();
+        let batch_ctx = GraphContext::new(&GraphBuilder::new(2).edge(0, 1).build());
+        let nodes = [3, 1];
+        for backbone in [Backbone::Gcn, Backbone::Gin, Backbone::Sage, Backbone::Gat] {
+            let mut rng = seeded_rng(4);
+            let gnn = Gnn::new(GnnConfig::paper_default(backbone, 3), &mut rng);
+            let x = Matrix::rand_uniform(5, 3, -1.0, 1.0, &mut rng);
+            let mut ws = Workspace::disposable();
+            let full = gnn.aggregate_input(&ctx, &x, &mut ws);
+            let batch = full.gather(&batch_ctx, &nodes, &mut ws);
+            for (l, &v) in nodes.iter().enumerate() {
+                assert_eq!(batch.x.row(l), x.row(v), "{backbone}: x row {l}");
+                assert_eq!(
+                    batch.aggregate().row(l),
+                    full.aggregate().row(v),
+                    "{backbone}: aggregate row {l}"
+                );
+            }
+            assert!(std::ptr::eq(batch.ctx, &batch_ctx));
         }
     }
 

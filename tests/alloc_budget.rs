@@ -106,16 +106,16 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, Allocs) {
 /// `serve <query path> <calls> <bytes>` row per serving query path.
 const EXPECTED: &str = "\
 fit GCN 1 identity 252 139532
-fit GCN 1 sampled 8321 2531833
+fit GCN 1 sampled 8330 2549194
 fit GCN 2 identity 277 140652
 fit GIN 1 identity 287 140972
-fit GIN 1 sampled 8411 2618520
+fit GIN 1 sampled 8539 2673882
 fit GIN 2 identity 337 143532
 fit SAGE 1 identity 262 140252
-fit SAGE 1 sampled 8399 2539682
+fit SAGE 1 sampled 8314 2542818
 fit SAGE 2 identity 277 140812
 fit GAT 1 identity 4312 1317252
-fit GAT 1 sampled 16720 2881042
+fit GAT 1 sampled 16739 2911552
 fit GAT 2 identity 8377 2494812
 serve query_one 0 0
 serve query_batch_into 0 0

@@ -1,9 +1,11 @@
 //! Full-batch ≡ mini-batch equivalence suite.
 //!
 //! The mini-batch trainer is built on *restriction* (local propagation
-//! matrices keep the full matrices' values verbatim on the sampled edge
-//! set) and a dedicated sampler RNG stream (scheduling draws never touch
-//! the weight-init stream). Together these give a sharp contract:
+//! matrices keep the full matrices' values on the sampled edge set, each
+//! divided by the edge's inclusion probability, which is exactly 1 at
+//! infinite fanout), exact first-layer aggregates of the constant input,
+//! and a dedicated sampler RNG stream (scheduling draws never touch the
+//! weight-init stream). Together these give a sharp contract:
 //!
 //! * **One block covering the graph at infinite fanout** is not
 //!   "approximately" full-batch training — it executes the *same floating
@@ -100,16 +102,20 @@ fn single_block_infinite_fanout_is_bit_identical_to_full_batch() {
 }
 
 /// Shared tolerance harness for genuine mini-batching: same data, same
-/// seed, different optimization schedule.
-fn assert_minibatch_lands_near_full_batch(mb: MinibatchConfig) {
+/// seed, same `num_layers`-layer GCN, different optimization schedule.
+fn assert_minibatch_lands_near_full_batch(num_layers: usize, mb: MinibatchConfig) {
     let ds = dataset();
     let input = input_of(&ds);
-    let full = FairwosTrainer::new(base_config())
+    let base = FairwosConfig {
+        num_layers,
+        ..base_config()
+    };
+    let full = FairwosTrainer::new(base.clone())
         .fit(&input, 42)
         .expect("full-batch training converges");
     let mini = FairwosTrainer::new(FairwosConfig {
         minibatch: Some(mb),
-        ..base_config()
+        ..base
     })
     .fit(&input, 42)
     .expect("mini-batch training converges");
@@ -160,12 +166,20 @@ fn assert_minibatch_lands_near_full_batch(mb: MinibatchConfig) {
 fn multi_batch_infinite_fanout_matches_within_tolerance() {
     // Four-ish blocks of ≤ 48 seeds, every neighborhood kept whole: the
     // stochasticity comes purely from per-block gradient steps.
-    assert_minibatch_lands_near_full_batch(MinibatchConfig::new(48, vec![0]));
+    assert_minibatch_lands_near_full_batch(1, MinibatchConfig::new(48, vec![0]));
 }
 
 #[test]
 fn finite_fanout_matches_within_tolerance() {
     // Blocks *and* sampled neighborhoods (3 neighbors per node per layer):
     // the full GraphSAGE-style regime, including epoch-salted resampling.
-    assert_minibatch_lands_near_full_batch(MinibatchConfig::new(48, vec![3]));
+    assert_minibatch_lands_near_full_batch(1, MinibatchConfig::new(48, vec![3]));
+}
+
+#[test]
+fn two_layer_finite_fanout_matches_within_tolerance() {
+    // A one-layer GCN's first layer reads the exact whole-graph aggregate of
+    // its constant input, so its fanout only shapes the batches. The second
+    // layer aggregates over the sampled, inverse-inclusion-weighted edges.
+    assert_minibatch_lands_near_full_batch(2, MinibatchConfig::new(48, vec![3, 3]));
 }

@@ -23,21 +23,21 @@ use fairwos::prelude::*;
 /// One line per fit: backbone, layer count, plan, hash.
 const EXPECTED: &str = "\
 GCN 1 full fd8225db52d831ec
-GCN 1 sampled 5a7ba36b204cdcfe
+GCN 1 sampled 788661ffb49ffbaf
 GCN 2 full 651fe956caa3f3f7
-GCN 2 sampled 1185e5b9a3475deb
+GCN 2 sampled 5ff81bd40b6bba5f
 GIN 1 full 0b67cfd8475a101c
-GIN 1 sampled dc32a92ddaf79276
+GIN 1 sampled 242a5e572019acfa
 GIN 2 full 791740c1a74ce0d5
-GIN 2 sampled 6747684d1e65aa66
+GIN 2 sampled 564116d6557e5c5d
 SAGE 1 full 7f0a040147e22b08
-SAGE 1 sampled c1f9ea5b9b5b7cf0
+SAGE 1 sampled f83d131ae265462e
 SAGE 2 full 534c7dcdfb339cc6
-SAGE 2 sampled 759fc1745e400bf7
+SAGE 2 sampled eb22ac85980a4a3f
 GAT 1 full ba691bb3fa3f66bc
-GAT 1 sampled f9e26728c758a730
+GAT 1 sampled 96d47634f885811f
 GAT 2 full 6ff7489357800426
-GAT 2 sampled 44529d7c0e48c63b
+GAT 2 sampled 14eddfaa515fb0b9
 ";
 
 fn config(

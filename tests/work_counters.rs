@@ -33,15 +33,15 @@ use fairwos::prelude::*;
 
 /// The pinned table: the `counter` and `span` lines, sorted.
 const EXPECTED: &str = "\
-counter graph/spmm/fma 642 12842502
+counter graph/spmm/fma 330 10532982
 counter minibatch/batches 336 336
 counter minibatch/sampled_nodes 336 31592
-counter tensor/alloc/bytes 1611 2487876
-counter tensor/matmul/flops 1571 24553024
+counter tensor/alloc/bytes 1587 2664292
+counter tensor/matmul/flops 1547 24553024
 counter tensor/matmul_nt/flops 722 4679680
 counter tensor/matmul_tn/flops 1252 21064352
 counter tensor/pool/hits 5981 5981
-counter tensor/pool/misses 348 348
+counter tensor/pool/misses 356 356
 counter tensor/pool/recycled_bytes 5981 16596368
 span core/cf_search 102
 span core/lambda_kkt 102
