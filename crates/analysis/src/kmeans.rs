@@ -96,12 +96,15 @@ pub fn kmeans(data: &Matrix, k: usize, max_iter: usize, rng: &mut FairRng) -> KM
         for (c, &count) in counts.iter().enumerate() {
             if count == 0 {
                 // Re-seed an empty cluster to the globally worst-fit point.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "0..n is non-empty, so max_by always yields a point"
+                )]
                 let far = (0..n)
                     .max_by(|&a, &b| {
                         sq_dist(data.row(a), centroids.row(assignments[a]))
                             .total_cmp(&sq_dist(data.row(b), centroids.row(assignments[b])))
                     })
-                    // audit:allow(FW001): 0..n is non-empty, so max_by always yields a point
                     .expect("n >= 1");
                 centroids.set_row(c, data.row(far));
             } else {

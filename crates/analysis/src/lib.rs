@@ -13,6 +13,8 @@
 //! * [`silhouette`] — cluster-separation score, our quantitative stand-in
 //!   for "the t-SNE plot shows separated groups".
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod correlation;
 pub mod information;
 pub mod kmeans;

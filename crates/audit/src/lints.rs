@@ -7,33 +7,24 @@
 //
 // Lints (see docs/AUDIT.md for the rationale behind each):
 //
-// * FW001 — no `.unwrap()` / `.expect(` in non-test library code.
-// * FW002 — public functions that invoke panic-family macros directly must
-//   carry a `# Panics` section in their doc comment.
 // * FW003 — every public `backward*` function in fairwos-nn / fairwos-core
 //   must have its owning type referenced from a gradient-check site (a file
 //   containing `GradTarget` or `finite_difference`).
 // * FW004 — functions that index the raw `Matrix` buffer
 //   (`as_slice()[` / `as_mut_slice()[`) must state a shape assertion in the
 //   same function body.
-// * FW005 — no wall-clock reads (`Instant::now()` / `SystemTime::now()`)
-//   outside crates/obs (the journal's single time source) and crates/bench
-//   (wall-clock measurement is its job). Scattered clock reads make runs
-//   non-reproducible and bypass the journal's one anchored epoch.
-// * FW006 — no `HashMap`/`HashSet` in result-affecting crates: unordered
-//   iteration order leaks into floating-point accumulation order and edge
-//   order, breaking bit-reproducibility. Use `BTreeMap`/`BTreeSet` or an
-//   explicit sort, or annotate with a reason.
 // * FW008 — every public `fit*`/`forward*`/`backward*`/`query*` (and, in
 //   the serve admin plane, `handle*`) in core/nn/serve must be observable:
 //   it (or a callee, transitively) opens an obs span or feeds an obs
 //   counter, or is explicitly exempted.
-// * FW010 — no truncating `as usize`/`as u32` casts in tensor/graph kernel
-//   index math without a bounds guard (an assert) in the same function.
 //
-// Suppression: `audit:allow(FWxxx): reason` on a line, anywhere on the
-// statement it opens (rustfmt-wrapped chains included), or in the
-// comment/attribute block directly above an item.
+// These need the workspace-wide view (gradient-check sites, the call graph)
+// or a project-specific contract that clippy has no lint for. FW001, FW002,
+// FW005, FW006 and FW010 are clippy lints configured in `Cargo.toml`,
+// `clippy.toml` and the crate roots.
+//
+// Suppression: `audit:allow(FWxxx): reason` in the comment/attribute block
+// directly above a `fn` item, or on its signature line.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -45,14 +36,6 @@ use fairwos_obs::json::{JsonWriter, ToJson};
 /// Lint identifiers with their one-line descriptions, in report order.
 pub const LINTS: &[(&str, &str)] = &[
     (
-        "FW001",
-        "no unwrap()/expect() in non-test library code outside the allowlist",
-    ),
-    (
-        "FW002",
-        "public functions invoking panic/assert macros directly must document # Panics",
-    ),
-    (
         "FW003",
         "backward functions in fairwos-nn/fairwos-core need a gradient-check site",
     ),
@@ -61,20 +44,8 @@ pub const LINTS: &[(&str, &str)] = &[
         "raw Matrix buffer indexing requires a shape assertion in the same function",
     ),
     (
-        "FW005",
-        "no Instant::now()/SystemTime::now() outside crates/obs and crates/bench",
-    ),
-    (
-        "FW006",
-        "no HashMap/HashSet (unordered iteration) in result-affecting crates",
-    ),
-    (
         "FW008",
         "public fit/forward/backward/query/handle fns in core/nn/serve must reach a span/counter",
-    ),
-    (
-        "FW010",
-        "truncating as-usize/as-u32 casts in kernel index math need a bounds guard",
     ),
 ];
 
@@ -85,29 +56,6 @@ const PATH_ALLOWLIST: &[&str] = &["crates/bench/", "/src/bin/"];
 /// Crate roots whose `backward*` functions FW003 applies to.
 const FW003_ROOTS: &[&str] = &["crates/nn/src", "crates/core/src"];
 
-/// Roots where FW005 permits wall-clock reads: the observability layer owns
-/// the process's single time anchor, and `fairwos-chaos` anchors the one
-/// sanctioned monotonic clock outside it (the serve-side reload breaker
-/// needs elapsed time even in obs-off builds). (`crates/bench/` is already
-/// outside the scan via [`PATH_ALLOWLIST`].)
-const FW005_ALLOWED_ROOTS: &[&str] = &["crates/obs/", "crates/chaos/"];
-
-/// Result-affecting crates: anything whose iteration or accumulation order
-/// can reach a reported number. FW006 bans unordered containers here.
-const RESULT_ROOTS: &[&str] = &[
-    "crates/tensor/",
-    "crates/graph/",
-    "crates/nn/",
-    "crates/core/",
-    "crates/fairness/",
-    "crates/datasets/",
-    "crates/analysis/",
-    "crates/serve/",
-];
-
-/// Unordered container tokens FW006 rejects.
-const FW006_TOKENS: &[&str] = &["HashMap", "HashSet"];
-
 /// Function-name prefixes FW008 audits: the training and inference entry
 /// points, and the admin plane's request handlers (an endpoint invisible to
 /// its own telemetry is a blind spot).
@@ -117,12 +65,6 @@ const FW008_ENTRY_PREFIXES: &[&str] = &["fit", "forward", "backward", "query", "
 /// `handle*` fns FW008 audits.
 const FW008_ROOTS: &[&str] = &["crates/nn/src", "crates/core/src", "crates/serve/src"];
 
-/// Kernel crates whose index casts FW010 audits.
-const FW010_ROOTS: &[&str] = &["crates/tensor/", "crates/graph/"];
-
-/// Truncating casts FW010 rejects without a guard.
-const FW010_CASTS: &[&str] = &[" as usize", " as u32"];
-
 /// A file counts as a gradient-check site when its raw text contains one of
 /// these markers: the names of the one engine, `fairwos_nn::gradcheck`'s
 /// `GradTarget` and its `finite_difference`.
@@ -131,7 +73,7 @@ const GRADCHECK_MARKERS: &[&str] = &["GradTarget", "finite_difference"];
 /// One lint violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Lint identifier, e.g. `FW001`.
+    /// Lint identifier, e.g. `FW004`.
     pub lint: String,
     /// Path relative to the workspace root, `/`-separated.
     pub file: String,
@@ -236,13 +178,8 @@ pub fn run_lints(root: &Path) -> Result<LintReport, String> {
 
     let mut violations = Vec::new();
     for fa in &analyses {
-        lint_fw001(fa, &mut violations);
-        lint_fw002(fa, &mut violations);
         lint_fw003(fa, &site_text, &mut violations);
         lint_fw004(fa, &mut violations);
-        lint_fw005(fa, &mut violations);
-        lint_fw006(fa, &mut violations);
-        lint_fw010(fa, &mut violations);
     }
     lint_fw008(&graph, &mut violations);
     violations.sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
@@ -351,77 +288,6 @@ fn in_roots(rel: &str, roots: &[&str]) -> bool {
 // The lints themselves.
 // ---------------------------------------------------------------------------
 
-/// FW001: `.unwrap()` / `.expect(` in non-test code.
-fn lint_fw001(fa: &FileAnalysis, out: &mut Vec<Violation>) {
-    for (idx, masked) in fa.masked_lines.iter().enumerate() {
-        let line = idx + 1;
-        if fa.is_test_line(line) {
-            continue;
-        }
-        for pattern in [".unwrap()", ".expect("] {
-            if masked.contains(pattern) && !fa.line_allows(line, "FW001") {
-                out.push(Violation {
-                    lint: "FW001".to_string(),
-                    file: fa.rel.clone(),
-                    line,
-                    message: format!(
-                        "`{}` in library code; return a Result or add `audit:allow(FW001): reason`",
-                        pattern.trim_end_matches('(')
-                    ),
-                });
-            }
-        }
-    }
-}
-
-const PANIC_MACROS: &[&str] = &[
-    "panic!(",
-    "assert!(",
-    "assert_eq!(",
-    "assert_ne!(",
-    "unreachable!(",
-];
-
-/// FW002: public fns that invoke panic-family macros need `# Panics` docs.
-fn lint_fw002(fa: &FileAnalysis, out: &mut Vec<Violation>) {
-    for f in &fa.fns {
-        if !f.is_pub
-            || f.body.is_empty()
-            || fa.is_test_line(f.line)
-            || f.allowed.iter().any(|a| a == "FW002")
-        {
-            continue;
-        }
-        let macro_hit = PANIC_MACROS.iter().find(|m| {
-            // `assert!` must not match inside `debug_assert!`.
-            let mut from = 0usize;
-            while let Some(found) = f.body[from..].find(*m) {
-                let at = from + found;
-                from = at + 1;
-                let prev = f.body[..at].chars().next_back().unwrap_or(' ');
-                if !crate::lexer::is_ident_char(prev) && prev != '_' {
-                    return true;
-                }
-            }
-            false
-        });
-        if let Some(m) = macro_hit {
-            if !f.doc.contains("# Panics") {
-                out.push(Violation {
-                    lint: "FW002".to_string(),
-                    file: fa.rel.clone(),
-                    line: f.line,
-                    message: format!(
-                        "public fn `{}` invokes `{}` but its docs have no `# Panics` section",
-                        f.name,
-                        m.trim_end_matches('(')
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// FW003: backward fns in nn/core must have a gradient-check site naming
 /// their owning type.
 fn lint_fw003(fa: &FileAnalysis, site_text: &str, out: &mut Vec<Violation>) {
@@ -491,65 +357,6 @@ fn lint_fw004(fa: &FileAnalysis, out: &mut Vec<Violation>) {
     }
 }
 
-/// FW005: wall-clock reads outside the observability layer. The journal
-/// anchors one process-wide `Instant` so every timestamp is comparable;
-/// every other crate must stay clock-free for reproducibility.
-fn lint_fw005(fa: &FileAnalysis, out: &mut Vec<Violation>) {
-    if in_roots(&fa.rel, FW005_ALLOWED_ROOTS) {
-        return;
-    }
-    for (idx, masked) in fa.masked_lines.iter().enumerate() {
-        let line = idx + 1;
-        if fa.is_test_line(line) {
-            continue;
-        }
-        for pattern in ["Instant::now", "SystemTime::now"] {
-            if masked.contains(pattern) && !fa.line_allows(line, "FW005") {
-                out.push(Violation {
-                    lint: "FW005".to_string(),
-                    file: fa.rel.clone(),
-                    line,
-                    message: format!(
-                        "`{pattern}()` outside crates/obs; route timing through \
-                         fairwos_obs::span or add `audit:allow(FW005): reason`"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// FW006: unordered containers in result-affecting crates. `HashMap`
-/// iteration order is randomized per process (`RandomState`), so any sum,
-/// edge list, or report built by iterating one is nondeterministic across
-/// runs — exactly the class of silent drift the determinism suite guards
-/// against at runtime.
-fn lint_fw006(fa: &FileAnalysis, out: &mut Vec<Violation>) {
-    if !in_roots(&fa.rel, RESULT_ROOTS) {
-        return;
-    }
-    for (idx, masked) in fa.masked_lines.iter().enumerate() {
-        let line = idx + 1;
-        if fa.is_test_line(line) {
-            continue;
-        }
-        for token in FW006_TOKENS {
-            if find_token(masked, token).is_some() && !fa.line_allows(line, "FW006") {
-                out.push(Violation {
-                    lint: "FW006".to_string(),
-                    file: fa.rel.clone(),
-                    line,
-                    message: format!(
-                        "`{token}` in a result-affecting crate: iteration order is \
-                         nondeterministic; use BTreeMap/BTreeSet or sort explicitly, \
-                         or add `audit:allow(FW006): reason`"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// True when `name` is in FW008's audited surface: one of
 /// [`FW008_ENTRY_PREFIXES`], alone or extended with `_…`.
 fn is_fw008_entry(name: &str) -> bool {
@@ -593,42 +400,6 @@ fn lint_fw008(graph: &CallGraph, out: &mut Vec<Violation>) {
                     node.name
                 ),
             });
-        }
-    }
-}
-
-/// FW010: truncating index casts in kernel crates. `expr as usize` /
-/// `expr as u32` silently wraps on overflow; index math in the kernels must
-/// carry a bounds guard (any assert) in the same function, or an
-/// annotation explaining why the cast cannot truncate.
-fn lint_fw010(fa: &FileAnalysis, out: &mut Vec<Violation>) {
-    if !in_roots(&fa.rel, FW010_ROOTS) {
-        return;
-    }
-    for f in &fa.fns {
-        if f.body.is_empty() || fa.is_test_line(f.line) || f.allowed.iter().any(|a| a == "FW010") {
-            continue;
-        }
-        if f.body.contains("assert") {
-            continue;
-        }
-        for (off, body_line) in f.body.lines().enumerate() {
-            let line = f.body_line + off;
-            for cast in FW010_CASTS {
-                if body_line.contains(cast) && !fa.line_allows(line, "FW010") {
-                    out.push(Violation {
-                        lint: "FW010".to_string(),
-                        file: fa.rel.clone(),
-                        line,
-                        message: format!(
-                            "fn `{}` uses a truncating `{}` cast with no bounds guard in \
-                             the same function; add an assert or `audit:allow(FW010): reason`",
-                            f.name,
-                            cast.trim_start()
-                        ),
-                    });
-                }
-            }
         }
     }
 }

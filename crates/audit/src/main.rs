@@ -13,6 +13,8 @@
 //! `results/gradient_report.json` and exits 1 when any parameter fails.
 //! Both exit 2 on I/O errors.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use fairwos_audit::{gradients, lints};
 use std::path::{Path, PathBuf};
 use std::process::exit;

@@ -1,25 +1,17 @@
-//! Item extraction over masked source: function items with owners, doc
-//! comments, `#[cfg(test)]` regions, and the `audit:allow` suppression map.
+//! Item extraction over masked source: function items with owners,
+//! `#[cfg(test)]` regions, and item-level `audit:allow` markers.
 //!
-//! [`analyze_file`] turns one source file into a [`FileAnalysis`]: the
-//! masked text (comments/literals blanked, line structure intact), every
-//! `fn` item with its body span and owning `impl` type, and a per-line map
-//! of suppressed lints. The call-graph pass ([`crate::callgraph`]) and the
+//! [`analyze_file`] turns one source file into a [`FileAnalysis`]: every
+//! `fn` item with its body span and owning `impl` type, and the lines inside
+//! `#[cfg(test)]` regions. The call-graph pass ([`crate::callgraph`]) and the
 //! lint passes ([`crate::lints`]) both consume this representation.
 //!
 //! # Suppression model
 //!
-//! `audit:allow(FWxxx): reason` markers are honored at three scopes:
-//!
-//! * **Line** — a marker on a line suppresses that line.
-//! * **Statement** — a marker on (or directly above) the first line of a
-//!   statement suppresses *every* line of the statement, tracked by
-//!   delimiter depth so rustfmt-wrapped chains, multi-line argument lists
-//!   and inline closures are all covered (the PR-4 gap where only the
-//!   first line of a split chain was honored is fixed here).
-//! * **Item** — a marker in the comment/attribute block above an item
-//!   suppresses item-level lints (and, because the item body is one
-//!   brace-delimited extent, line lints inside it).
+//! An `audit:allow(FWxxx): reason` marker in the comment/attribute block
+//! directly above a `fn` item, or on its signature line, exempts that item
+//! from the named lints ([`FnInfo::allowed`]). Every FW lint judges whole
+//! items, so there is no line-level scope.
 
 use crate::lexer::{line_of, line_starts, mask_source, match_brace};
 
@@ -40,36 +32,21 @@ pub struct FnInfo {
     pub body: String,
     /// Innermost `impl` type owning this fn, if any.
     pub owner: Option<String>,
-    /// Doc-comment text collected from the lines directly above.
-    pub doc: String,
     /// Lints suppressed at this item via `audit:allow(..)`.
     pub allowed: Vec<String>,
 }
 
-/// Per-file analysis: masked source plus extracted items.
+/// Per-file analysis: test regions plus extracted items.
 pub struct FileAnalysis {
     /// Workspace-relative path, `/`-separated.
     pub rel: String,
-    /// Masked source lines (same count as the source's lines).
-    pub masked_lines: Vec<String>,
     /// True for lines inside a `#[cfg(test)]` region (1-based index).
     pub test_line: Vec<bool>,
-    /// Lints suppressed per line (1-based index) via `audit:allow`.
-    pub allow_lines: Vec<Vec<String>>,
     /// Every `fn` item in the file.
     pub fns: Vec<FnInfo>,
 }
 
 impl FileAnalysis {
-    /// True when `line` (1-based) carries or inherits an
-    /// `audit:allow(lint)` marker (line, statement, or item scope).
-    pub fn line_allows(&self, line: usize, lint: &str) -> bool {
-        self.allow_lines
-            .get(line)
-            .map(|ids| ids.iter().any(|a| a == lint))
-            .unwrap_or(false)
-    }
-
     /// True when `line` (1-based) is inside a `#[cfg(test)]` region.
     pub fn is_test_line(&self, line: usize) -> bool {
         *self.test_line.get(line).unwrap_or(&false)
@@ -218,38 +195,26 @@ pub fn find_token(s: &str, word: &str) -> Option<usize> {
     None
 }
 
-/// Collects doc comments and `audit:allow` annotations from the comment /
-/// attribute block directly above `line` (1-based).
-fn collect_doc_and_allows(original_lines: &[String], line: usize) -> (String, Vec<String>) {
-    let mut doc = String::new();
+/// Collects the `audit:allow` annotations on the signature line (1-based)
+/// and in the comment/attribute block directly above it.
+fn collect_allows(original_lines: &[String], line: usize) -> Vec<String> {
     let mut allowed = Vec::new();
     // The signature line itself may carry a trailing annotation.
     if line >= 1 && line <= original_lines.len() {
         parse_allows(&original_lines[line - 1], &mut allowed);
     }
-    let mut i = line.saturating_sub(1); // index of the line above, 1-based - 1
-    while i >= 1 {
-        let text = original_lines[i - 1].trim();
-        if text.starts_with("///")
-            || text.starts_with("//")
-            || text.starts_with("#[")
-            || text.starts_with("#!")
-        {
-            if let Some(stripped) = text.strip_prefix("///") {
-                doc.insert_str(0, stripped);
-                doc.insert(0, '\n');
-            }
-            parse_allows(text, &mut allowed);
-            i -= 1;
-        } else {
+    for text in original_lines[..line.saturating_sub(1)].iter().rev() {
+        let text = text.trim();
+        if !(text.starts_with("//") || text.starts_with("#[") || text.starts_with("#!")) {
             break;
         }
+        parse_allows(text, &mut allowed);
     }
-    (doc, allowed)
+    allowed
 }
 
 /// Appends every `FWxxx` id named in `audit:allow(...)` markers on `line`.
-pub fn parse_allows(line: &str, out: &mut Vec<String>) {
+fn parse_allows(line: &str, out: &mut Vec<String>) {
     let mut from = 0usize;
     while let Some(found) = line[from..].find("audit:allow(") {
         let at = from + found + "audit:allow(".len();
@@ -265,89 +230,12 @@ pub fn parse_allows(line: &str, out: &mut Vec<String>) {
     }
 }
 
-/// Longest extent (in lines) an `audit:allow` marker may cover; a backstop
-/// against unbalanced delimiters in pathological files.
-const ALLOW_EXTENT_CAP: usize = 400;
-
-/// Builds the per-line suppression map: each `audit:allow` marker covers
-/// its own line plus the full extent of the statement (or brace-delimited
-/// item body) that starts at or directly below it. Extent is tracked by
-/// delimiter depth over the masked text, so a marker above a
-/// rustfmt-wrapped chain covers every line of the statement — including
-/// lines past inline closures and multi-line argument lists.
-fn allow_map(original_lines: &[String], masked_lines: &[String]) -> Vec<Vec<String>> {
-    let num_lines = original_lines.len();
-    let mut map: Vec<Vec<String>> = vec![Vec::new(); num_lines + 2];
-    for (idx, original) in original_lines.iter().enumerate() {
-        let marker_line = idx + 1;
-        let mut ids = Vec::new();
-        parse_allows(original, &mut ids);
-        if ids.is_empty() {
-            continue;
-        }
-        // The marker always covers its own line.
-        for id in &ids {
-            if !map[marker_line].contains(id) {
-                map[marker_line].push(id.clone());
-            }
-        }
-        // Statement extent: start at the first line at-or-below the marker
-        // with any code on it, then walk delimiter depth forward until the
-        // statement (or the brace-delimited body it opens) closes.
-        let mut start = marker_line;
-        while start <= num_lines
-            && masked_lines
-                .get(start - 1)
-                .map(|l| l.trim().is_empty())
-                .unwrap_or(true)
-        {
-            start += 1;
-        }
-        if start > num_lines {
-            continue;
-        }
-        let mut depth = 0i64;
-        let mut end = start;
-        'extent: for line in start..=num_lines.min(start + ALLOW_EXTENT_CAP) {
-            end = line;
-            for c in masked_lines[line - 1].chars() {
-                match c {
-                    '(' | '[' | '{' => depth += 1,
-                    ')' | ']' => depth -= 1,
-                    '}' => {
-                        depth -= 1;
-                        if depth <= 0 {
-                            // Closed the statement's own block (an item
-                            // body, a trailing match/closure) — or stepped
-                            // out of the enclosing block entirely.
-                            break 'extent;
-                        }
-                    }
-                    ';' if depth <= 0 => break 'extent,
-                    _ => {}
-                }
-            }
-        }
-        for line in start..=end {
-            for id in &ids {
-                if !map[line].contains(id) {
-                    map[line].push(id.clone());
-                }
-            }
-        }
-    }
-    map
-}
-
-/// Parses one source file into masked lines, test regions, the suppression
-/// map, and `fn` items.
+/// Parses one source file into test regions and `fn` items.
 pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
     let masked = mask_source(src);
     let starts = line_starts(&masked);
     let original_lines: Vec<String> = src.lines().map(|l| l.to_string()).collect();
-    let masked_lines: Vec<String> = masked.lines().map(|l| l.to_string()).collect();
     let test_line = test_lines(&masked, &starts, original_lines.len());
-    let allow_lines = allow_map(&original_lines, &masked_lines);
     let impls = impl_blocks(&masked);
     let bytes = masked.as_bytes();
 
@@ -410,7 +298,7 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
             .filter(|(o, c, _)| *o < at && at < *c)
             .max_by_key(|(o, _, _)| *o)
             .map(|(_, _, n)| n.clone());
-        let (doc, allowed) = collect_doc_and_allows(&original_lines, line);
+        let allowed = collect_allows(&original_lines, line);
         fns.push(FnInfo {
             name,
             is_pub,
@@ -418,16 +306,13 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
             body_line,
             body,
             owner,
-            doc,
             allowed,
         });
     }
 
     FileAnalysis {
         rel: rel.to_string(),
-        masked_lines,
         test_line,
-        allow_lines,
         fns,
     }
 }
@@ -437,44 +322,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn allow_covers_wrapped_statement_with_closure() {
-        let src = "\
-/// Doc.
-pub fn f() {
-    // audit:allow(FW005): fixture
-    let t = helper(|| {
-        inner_call()
-    });
-    other();
-}
-";
-        let fa = analyze_file("crates/demo/src/lib.rs", src);
-        // Lines 3..=6 (marker through the closing `});`) are covered.
-        for line in 3..=6 {
-            assert!(
-                fa.line_allows(line, "FW005"),
-                "line {line} should inherit the allow"
-            );
-        }
-        assert!(
-            !fa.line_allows(7, "FW005"),
-            "allow must not leak past the statement"
-        );
-    }
-
-    #[test]
     fn allow_above_item_covers_item_body() {
         let src = "\
-// audit:allow(FW006): fixture-wide
-pub fn f() {
-    let v = HashMap::new();
-    v
+// audit:allow(FW004): fixture-wide
+/// Doc.
+pub fn f(m: &Matrix) -> f32 {
+    m.as_slice()[0]
 }
 pub fn g() {}
 ";
         let fa = analyze_file("crates/demo/src/lib.rs", src);
-        assert!(fa.line_allows(3, "FW006"));
-        assert!(!fa.line_allows(6, "FW006"));
+        assert_eq!(fa.fns[0].allowed, ["FW004"]);
+        assert!(fa.fns[1].allowed.is_empty());
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Golden tests for the lints FW006, FW008 and FW010: each lint has a pass
-//! fixture (must stay silent) and a fire fixture (must flag) under
-//! `tests/fixtures/`. The fixtures are miniature workspace trees, so these
-//! tests exercise the walker, the parser, the call graph, and the lint in
-//! one pass each.
+//! Golden test for the lint FW008: a pass fixture (must stay silent) and a
+//! fire fixture (must flag) under `tests/fixtures/`. The fixtures are
+//! miniature workspace trees, so the test exercises the walker, the parser,
+//! the call graph, and the lint in one pass.
 
 use fairwos_audit::lints::run_lints;
 use std::path::PathBuf;
@@ -38,12 +37,6 @@ fn assert_silent(name: &str) {
 }
 
 #[test]
-fn fw006_hashmap_in_result_crate() {
-    assert_silent("fw006_pass");
-    assert_fires("fw006_fire", "FW006");
-}
-
-#[test]
 fn fw008_obs_coverage_is_transitive() {
     // The pass fixture's wrapper has no span of its own — its kernel feeds
     // a counter, which must satisfy the lint through the call graph. Its
@@ -61,10 +54,4 @@ fn fw008_obs_coverage_is_transitive() {
             report.violations
         );
     }
-}
-
-#[test]
-fn fw010_unguarded_truncating_cast() {
-    assert_silent("fw010_pass");
-    assert_fires("fw010_fire", "FW010");
 }

@@ -51,7 +51,6 @@ pub type LogitRegularizer<'r> = dyn FnMut(&Matrix) -> (f32, Matrix) + 'r;
 /// # Panics
 /// If `features` has a row count other than the node count, or `train` is
 /// empty.
-#[allow(clippy::too_many_arguments)]
 pub fn train_gnn(
     graph: &fairwos_graph::Graph,
     features: &Matrix,

@@ -16,6 +16,8 @@
 //! ("we directly use the code provided by \[24\], \[38\] on our backbone GNN"),
 //! their regularizers are applied to a GNN backbone here.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod common;
 mod fairgkd;
 mod fairrf;

@@ -376,6 +376,7 @@ fn main() {
 
     let mut seed_reports = Vec::with_capacity(SEEDS.len());
     for seed in SEEDS {
+        #[expect(clippy::disallowed_methods, reason = "the bench measures wall time")]
         let started = Instant::now();
         let reference = FairwosTrainer::new(soak_config())
             .fit(&input_of(&ds), seed)

@@ -80,6 +80,7 @@ fn run_variant(
             ..schedule()
         };
         fairwos_obs::reset();
+        #[expect(clippy::disallowed_methods, reason = "the bench measures wall time")]
         let started = Instant::now();
         let trained = FairwosTrainer::new(cfg)
             .fit(&input_of(ds), seed)

@@ -97,6 +97,7 @@ fn train_model(ds: &FairGraphDataset, seed: u64) -> fairwos_core::FairwosModelFi
 fn measure_single_qps(engine: &ServeEngine, total: usize) -> f64 {
     let nodes = engine.num_nodes();
     let mut window: Vec<_> = Vec::with_capacity(PIPELINE_WINDOW);
+    #[expect(clippy::disallowed_methods, reason = "the bench measures wall time")]
     let started = Instant::now();
     let mut issued = 0usize;
     let mut answered = 0usize;
@@ -120,6 +121,7 @@ fn measure_batch_qps(engine: &ServeEngine, rounds: usize, batch: usize) -> f64 {
     let query: Vec<usize> = (0..batch).map(|i| i % nodes).collect();
     let mut ws = Workspace::new();
     let mut out: Vec<Prediction> = Vec::with_capacity(batch);
+    #[expect(clippy::disallowed_methods, reason = "the bench measures wall time")]
     let started = Instant::now();
     for _ in 0..rounds {
         out.clear();

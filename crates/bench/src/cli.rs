@@ -27,6 +27,10 @@ impl Args {
     }
 
     /// Testable core of [`Args::parse`].
+    ///
+    /// # Panics
+    /// On an unknown flag, a flag without its value, a value that does not
+    /// parse, a `--scale` that is not positive or a `--runs` of 0.
     pub fn parse_from(argv: Vec<String>, default_scale: f64, default_runs: usize) -> Self {
         let mut args = Self {
             scale: default_scale,
@@ -58,6 +62,9 @@ impl Args {
     }
 
     /// Writes a serializable record to `--out` if given (pretty JSON).
+    ///
+    /// # Panics
+    /// If the file cannot be written.
     pub fn write_out<T: fairwos_obs::json::ToJson + ?Sized>(&self, record: &T) {
         if let Some(path) = &self.out {
             let json = fairwos_obs::json::to_string_pretty(record);

@@ -109,6 +109,7 @@ pub fn run_method(method: &dyn FairMethod, ds: &FairGraphDataset, seed: u64) -> 
         train: &ds.split.train,
         val: &ds.split.val,
     };
+    #[expect(clippy::disallowed_methods, reason = "the bench measures wall time")]
     let start = Instant::now();
     let probs = method.fit_predict(&input, seed);
     let secs = start.elapsed().as_secs_f64();
@@ -172,6 +173,9 @@ impl MethodRun {
     }
 
     /// A Table-II-style text row: `ACC ΔDP ΔEO`, percent, mean±std.
+    ///
+    /// # Panics
+    /// If no run recorded `accuracy`, `delta_sp` or `delta_eo`.
     pub fn table_row(&self) -> String {
         let cell = |m: &str| {
             self.agg
@@ -194,6 +198,9 @@ impl MethodRun {
     }
 
     /// Serializable record of this run.
+    ///
+    /// # Panics
+    /// Not in practice: every metric the aggregator lists has a value.
     pub fn record(&self, dataset: &str, backbone: Backbone) -> RunRecord {
         let mut metrics = BTreeMap::new();
         for m in self.agg.metrics() {

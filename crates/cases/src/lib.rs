@@ -14,6 +14,8 @@
 //! with the test's seed and case number and prints the case's inputs,
 //! drawn again from the same stream.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use fairwos_chaos::{fnv1a64, seeded_rng, FairRng};
 use std::fmt::Debug;
 use std::marker::PhantomData;

@@ -56,6 +56,8 @@
 //! assert_eq!(runner.log().len(), 1);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod clock;
 mod isa;
 mod retry;

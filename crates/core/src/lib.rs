@@ -41,6 +41,8 @@
 //! let x0 = trained.pseudo_sensitive_attributes(); // the X⁰ of Fig. 7
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod checkpoint;
 mod config;
 pub mod counterfactual;

@@ -185,7 +185,7 @@ impl BatchPlan {
         let mut train_locals = Vec::new();
         for &v in input.train {
             if block.binary_search(&v).is_ok() {
-                // audit:allow(FW001): block nodes are always in the subgraph
+                #[expect(clippy::expect_used, reason = "block nodes are always in the subgraph")]
                 train_locals.push(sub.local_of(v).expect("block node sampled"));
             }
         }
@@ -199,8 +199,8 @@ impl BatchPlan {
 }
 
 /// The batch schedule a training stage runs over.
-// One value per training stage, so the scheduler's size is never multiplied.
-#[allow(clippy::large_enum_variant)]
+// One value per training stage, so its large variant's size is never
+// multiplied (the workspace allows `clippy::large_enum_variant`).
 pub(crate) enum Schedule {
     /// The identity plan: every epoch is one batch that is the whole graph,
     /// in global ids — full-batch training.

@@ -33,6 +33,8 @@
 //! assert_eq!(data.features.cols(), 39);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod causal;
 mod dataset;
 pub mod loader;

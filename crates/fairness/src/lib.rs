@@ -6,6 +6,8 @@
 //! attribute is revealed. Also provides mean±std aggregation over repeated
 //! runs (every number in Table II is a 10-run mean ± std).
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod aggregate;
 mod calibration;
 mod metrics;

@@ -131,13 +131,20 @@ fn sample_indices(total: usize, p: f64, rng: &mut FairRng) -> Vec<usize> {
     let mut idx: u64 = 0;
     loop {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the skip is a non-negative whole number; past u64::MAX the cast saturates and the walk ends"
+        )]
         let skip = (u.ln() / log_q).floor() as u64;
         idx = idx.saturating_add(skip).saturating_add(1);
         if idx > total as u64 {
             break;
         }
-        // idx ≤ total ≤ usize::MAX here, so the cast cannot truncate.
         debug_assert!(idx - 1 < total as u64);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "idx ≤ total ≤ usize::MAX here, so the cast cannot truncate"
+        )]
         out.push((idx - 1) as usize);
     }
     out

@@ -27,6 +27,12 @@
 //! assert_eq!(h.shape(), (3, 3));
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation
+)]
+
 mod cache;
 mod csr;
 pub mod generate;

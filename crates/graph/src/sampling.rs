@@ -188,7 +188,10 @@ impl NeighborSampler {
 
 /// Position of `global` in the sorted `nodes` list.
 fn local_index(nodes: &[usize], global: usize) -> usize {
-    // audit:allow(FW001): `nodes` contains every id inserted by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "`nodes` contains every id inserted by construction"
+    )]
     nodes
         .binary_search(&global)
         .expect("node is in the subgraph")

@@ -47,7 +47,10 @@ pub fn khop_nodes(g: &Graph, source: usize, k: usize) -> Vec<usize> {
 pub fn khop_subgraph(g: &Graph, source: usize, k: usize) -> (Graph, Vec<usize>, usize) {
     let nodes = khop_nodes(g, source, k);
     let (sub, map) = g.induced_subgraph(&nodes);
-    // audit:allow(FW001): khop_nodes always includes source, so the lookup cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "khop_nodes always includes source, so the lookup cannot fail"
+    )]
     let center = map
         .iter()
         .position(|&old| old == source)

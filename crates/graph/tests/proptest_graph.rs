@@ -90,7 +90,7 @@ proptest! {
         let src = 0;
         let inner = traversal::khop_nodes(&g, src, k);
         let outer = traversal::khop_nodes(&g, src, k + 1);
-        let outer_set: std::collections::HashSet<_> = outer.iter().collect();
+        let outer_set: std::collections::BTreeSet<_> = outer.iter().collect();
         prop_assert!(inner.iter().all(|v| outer_set.contains(v)));
         prop_assert!(inner.contains(&src));
     }
@@ -99,7 +99,7 @@ proptest! {
     fn khop_respects_bfs_distance(g in graph_strategy(), k in 0usize..4) {
         let dist = traversal::bfs_distances(&g, 0);
         let nodes = traversal::khop_nodes(&g, 0, k);
-        let set: std::collections::HashSet<_> = nodes.into_iter().collect();
+        let set: std::collections::BTreeSet<_> = nodes.into_iter().collect();
         for (v, &dv) in dist.iter().enumerate() {
             prop_assert_eq!(set.contains(&v), dv <= k, "node {} dist {}", v, dv);
         }
@@ -136,7 +136,7 @@ proptest! {
     #[test]
     fn csr_from_triplets_get_roundtrip(entries in prop::collection::vec((0usize..8, 0usize..8, -5.0f32..5.0), 0..20)) {
         // Dedup (r,c) keys first: from_triplets requires unique entries.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let unique: Vec<_> = entries.into_iter().filter(|&(r, c, _)| seen.insert((r, c))).collect();
         let m = CsrMatrix::from_triplets(8, 8, &unique);
         prop_assert_eq!(m.nnz(), unique.len());

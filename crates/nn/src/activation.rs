@@ -39,7 +39,10 @@ impl Relu {
     /// If called before [`Relu::forward_ws`], or if `dy`'s size differs
     /// from the cached activation's.
     pub fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
-        // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let mask = self.mask.as_ref().expect("Relu::backward before forward");
         assert_eq!(
             mask.len(),

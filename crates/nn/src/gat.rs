@@ -148,7 +148,10 @@ impl GatConv {
     /// If called before a forward pass.
     pub fn backward_ws(&mut self, ctx: &GraphContext, dh: &Matrix, ws: &mut Workspace) -> Matrix {
         let _ = ctx; // neighbourhood structure lives in the cache
-                     // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let x = self
             .cached_x
             .take()
@@ -188,7 +191,10 @@ impl GatConv {
     /// # Panics
     /// If called before a forward pass.
     fn attention_backward_ws(&mut self, dh: &Matrix, ws: &mut Workspace) -> Matrix {
-        // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let cache = self
             .cache
             .as_ref()

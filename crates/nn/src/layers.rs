@@ -130,7 +130,10 @@ impl Linear {
     /// # Panics
     /// If called before a forward pass.
     pub fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
-        // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let x = self
             .cached_input
             .take()
@@ -258,7 +261,10 @@ impl GcnConv {
     /// # Panics
     /// If called before a forward pass.
     pub fn backward_ws(&mut self, ctx: &GraphContext, dy: &Matrix, ws: &mut Workspace) -> Matrix {
-        // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let ax = self
             .cached_ax
             .take()
@@ -402,7 +408,10 @@ impl GinConv {
     /// # Panics
     /// If called before a forward pass.
     pub fn backward_ws(&mut self, ctx: &GraphContext, dy: &Matrix, ws: &mut Workspace) -> Matrix {
-        // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let m = self
             .cached_m
             .take()

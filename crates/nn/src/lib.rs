@@ -35,6 +35,8 @@
 //!       └──── head backward ──────┴──► conv layers backward ──► d params
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod activation;
 mod context;
 mod gat;

@@ -342,6 +342,9 @@ impl Gnn {
     /// allocates nothing. The returned [`GnnOutput`]'s buffers also come
     /// from `ws` — hand them back with [`Workspace::give`] once the epoch is
     /// done with them.
+    ///
+    /// # Panics
+    /// If the model has no conv layer, which [`Gnn::new`] rules out.
     pub fn forward_train_ws(&mut self, input: &GnnInput<'_>, ws: &mut Workspace) -> GnnOutput {
         let _obs = fairwos_obs::span("nn/forward_train");
         let mut h: Option<Matrix> = None;
@@ -356,7 +359,10 @@ impl Gnn {
                 ws.give(old);
             }
         }
-        // audit:allow(FW001): Gnn::new asserts the layer count is non-zero
+        #[expect(
+            clippy::expect_used,
+            reason = "Gnn::new asserts the layer count is non-zero"
+        )]
         let h = h.expect("at least one conv layer");
         let logits = self.head.forward_ws(&h, ws);
         GnnOutput {

@@ -116,12 +116,18 @@ impl SageConv {
     /// # Panics
     /// If called before a forward pass.
     pub fn backward_ws(&mut self, ctx: &GraphContext, dy: &Matrix, ws: &mut Workspace) -> Matrix {
-        // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let x = self
             .cached_x
             .take()
             .expect("SageConv::backward before forward");
-        // audit:allow(FW001): call-order contract documented under # Panics
+        #[expect(
+            clippy::expect_used,
+            reason = "call-order contract documented under # Panics"
+        )]
         let mx = self
             .cached_mx
             .take()

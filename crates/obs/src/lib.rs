@@ -61,6 +61,8 @@
 //! assert_eq!(metrics.spans.is_empty(), !obs::is_enabled());
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod event;
 pub mod json;
 mod prometheus;

@@ -83,6 +83,10 @@ fn with_journal<R>(f: impl FnOnce(&mut EventRing) -> R) -> R {
 /// The process-wide journal epoch: anchored at the first timestamped event
 /// and never re-anchored, so `ts_ns` stays monotonic and comparable across
 /// `reset()` boundaries.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the journal anchor is the process's one sanctioned time source"
+)]
 fn journal_anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     *ANCHOR.get_or_init(Instant::now)
@@ -92,8 +96,9 @@ fn journal_anchor() -> Instant {
 ///
 /// This is the sanctioned monotonic clock for instrumented subsystems that
 /// need raw timestamps (e.g. `fairwos-serve` latency histograms) without
-/// owning an `Instant` of their own — the audit lint FW005 confines
-/// `Instant::now()` to this crate. Values are comparable with the `ts_ns`
+/// owning an `Instant` of their own — FW005 (clippy's
+/// `disallowed_methods`) confines `Instant::now()` to the sanctioned
+/// anchors. Values are comparable with the `ts_ns`
 /// field of journal events because both share the same anchor.
 pub fn monotonic_ns() -> u64 {
     journal_anchor().elapsed().as_nanos() as u64
@@ -208,6 +213,10 @@ impl Drop for SpanGuard<'_> {
 /// count/total/min/max row. Nesting is expressed purely through label
 /// convention (`train/stage2` contains `train/stage2/epoch`); the registry
 /// itself is flat.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "spans time themselves; their durations are the journal's measurements"
+)]
 pub fn span(label: &str) -> SpanGuard<'_> {
     // The begin event is journaled *before* timing starts, so the journal
     // write does not count against the span's own measured duration.

@@ -71,6 +71,8 @@
 //! # let _ = std::fs::remove_file(&path);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod admin;
 mod engine;
 mod http;

@@ -33,6 +33,10 @@ pub fn export_rng_state(rng: &FairRng) -> RngState {
         seed,
         stream,
         word_pos_hi: (word_pos >> 64) as u64,
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "keeps the low 64 bits; word_pos_hi holds the rest"
+        )]
         word_pos_lo: word_pos as u64,
     }
 }

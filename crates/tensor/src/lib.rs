@@ -49,6 +49,12 @@
 //! assert_eq!(c.row_sums(), vec![3.0, 7.0]);
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation
+)]
+
 mod band;
 pub mod checked;
 mod init;

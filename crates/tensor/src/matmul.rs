@@ -943,6 +943,10 @@ mod tests {
             z
         }
 
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below n, a usize"
+        )]
         fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }

@@ -254,6 +254,10 @@ mod tests {
         let mut state = 0x003E_D1A2u64;
         for rows in 0..40 {
             for cols in [1, 3] {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the remainder is below VALUES.len(), a usize"
+                )]
                 let data: Vec<f32> = (0..rows * cols)
                     .map(|_| {
                         state = fairwos_chaos::splitmix64(state);

@@ -34,6 +34,7 @@ fn main() {
             finetune_epochs: 40,
             ..FairwosConfig::fast(backbone)
         };
+        #[expect(clippy::disallowed_methods, reason = "the example prints fit times")]
         let start = std::time::Instant::now();
         let trained = FairwosTrainer::new(config)
             .fit(&input, 11)

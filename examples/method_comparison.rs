@@ -58,6 +58,7 @@ fn main() {
         "Method", "ACC%", "ΔSP%", "ΔEO%", "seconds"
     );
     for method in &methods {
+        #[expect(clippy::disallowed_methods, reason = "the example prints fit times")]
         let start = std::time::Instant::now();
         let probs = method.fit_predict(&input, 2025);
         let secs = start.elapsed().as_secs_f64();

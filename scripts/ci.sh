@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: the dependency ratchet, formatting,
+# clippy with default and with all features (it owns the panic-hygiene,
+# clock, container and cast rules FW001, FW002, FW005, FW006 and FW010),
 # rustdoc without warnings, the offline release build and tests with an
 # empty cargo home, the checked+obs instrumented tests, an obs-off
 # build proving the pipeline crates compile without the instrumentation
 # feature, the kill-and-resume crash-recovery smoke test, the chaos-armed
-# build plus the exp_chaos fault-injection soak smoke, the FW static
-# lints, the finite-difference gradient sweep, instrumented bench smoke
-# runs that must produce results/bench_pipeline.json plus the
-# trace/telemetry artifacts, a wall-time report against the newest
+# build plus the exp_chaos fault-injection soak smoke, the fairwos-audit
+# lints (FW003, FW004, FW008), the finite-difference gradient sweep,
+# instrumented bench smoke runs that must produce
+# results/bench_pipeline.json plus the trace/telemetry artifacts, a wall-time report against the newest
 # committed BENCH file (exact work is gated by tests/work_counters.rs in
 # the checked+obs test pass), and a last JSON codec pass over every
 # results/*.json those steps wrote.
@@ -23,6 +25,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings; exceptions pinned in [workspace.lints])"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --all-features (lints the feature-gated code too)"
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 echo "==> cargo doc (deny rustdoc warnings: broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

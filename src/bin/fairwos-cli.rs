@@ -11,7 +11,7 @@
 
 use fairwos::core::FairwosModelFile;
 use fairwos::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::exit;
 
 fn usage() -> ! {
@@ -37,8 +37,8 @@ commands:
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
+fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
+    let mut flags = BTreeMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
@@ -54,14 +54,14 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> &'a str {
+fn required<'a>(flags: &'a BTreeMap<String, String>, name: &str) -> &'a str {
     flags.get(name).map(String::as_str).unwrap_or_else(|| {
         eprintln!("missing required flag --{name}");
         usage();
     })
 }
 
-fn load_dataset(flags: &HashMap<String, String>) -> FairGraphDataset {
+fn load_dataset(flags: &BTreeMap<String, String>) -> FairGraphDataset {
     let path = required(flags, "data");
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("reading {path}: {e}");
@@ -73,7 +73,7 @@ fn load_dataset(flags: &HashMap<String, String>) -> FairGraphDataset {
     })
 }
 
-fn backbone_of(flags: &HashMap<String, String>) -> Backbone {
+fn backbone_of(flags: &BTreeMap<String, String>) -> Backbone {
     match flags.get("backbone").map(String::as_str).unwrap_or("gcn") {
         "gcn" => Backbone::Gcn,
         "gin" => Backbone::Gin,

@@ -19,6 +19,7 @@ const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 #[test]
 fn committed_results_re_emit_pretty_byte_for_byte() {
     let mut checked = 0;
+    let mut failures = Vec::new();
     let mut entries: Vec<_> = std::fs::read_dir(Path::new(ROOT).join("results"))
         .expect("results/ is readable")
         .map(|e| e.expect("directory entry").path())
@@ -29,14 +30,26 @@ fn committed_results_re_emit_pretty_byte_for_byte() {
         if !name.ends_with(".json") {
             continue;
         }
-        let text = std::fs::read_to_string(&path).expect("result file is UTF-8");
-        let value = Value::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            json::to_string_pretty(&value) == text,
-            "{name} does not re-emit byte for byte"
-        );
         checked += 1;
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) => {
+                failures.push(format!("{name}: {e}"));
+                continue;
+            }
+        };
+        match Value::parse(&text) {
+            Ok(value) if json::to_string_pretty(&value) == text => {}
+            Ok(_) => failures.push(format!("{name}: does not re-emit byte for byte")),
+            Err(e) => failures.push(format!("{name}: {e}")),
+        }
     }
+    assert!(
+        failures.is_empty(),
+        "{} of {checked} result files fail:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
     assert!(checked >= 9, "only {checked} result files found");
 }
 
